@@ -1,9 +1,10 @@
 """Exact computations with separated monic representations over bound quivers.
 
 The package builds up in layers: exact F_p linear algebra (``exactla``),
-path combinatorics of bound quivers (``quiver``), modules over monomial
-bound quiver algebras (``bqa``), layered representations of tensor
-algebras (``layered``), named verification suites (``harness``), and a
+path combinatorics of bound quivers (``quiver``), the homological engine
+with monomial bound quiver algebras as its first presentation (``bqa``),
+tensor algebras as its second, read as layered representations
+(``layered``), named verification suites (``harness``), and a
 text-format CLI (``cli``).
 """
 

@@ -1,17 +1,23 @@
-"""Modules over a monomial bound quiver algebra.
+"""The homological engine: modules over a presented algebra.
 
-An algebra here is kQ/I for a finite quiver Q (cycles allowed) and an
-admissible monomial ideal I; its basis is the set of nonzero paths.  A
-module assigns a vector space over F_p to each vertex and a matrix to
-each arrow killing every ideal generator; a hom is a vertex-indexed
-family of matrices intertwining the arrow actions.
+Every algebra reaches the engine through a ``Presentation``: the prime, a
+quiver whose vertices are the points and whose arrows act on modules,
+and, for each point x, the basis of its indecomposable projective P(x)
+as arrow words, with the arrow action on those words and their reversal
+in the opposite algebra.  ``Algebra`` presents a monomial bound quiver
+algebra kQ/I by its nonzero paths; ``layered.TensorContext`` presents a
+tensor algebra A (x) kQ/I by pairs of paths.  The relations are never
+read: kernels, cokernels, Hom spaces, radicals and submodule closure do
+not depend on them, and projectives are built from the basis words.
 
-On top of the abelian-category plumbing (kernels, cokernels, images,
-direct sums) this module provides radicals and tops, minimal projective
-covers, syzygies and resolutions, Ext dimensions from Hom complexes,
-vector-space duality, the Hom(-, algebra) star with its evaluation map,
-torsionless/reflexivity tests, and bounded semi-Gorenstein-projective /
-Gorenstein-projective certificates.
+A module assigns a vector space over F_p to each point and a matrix to
+each arrow; a hom is a point-indexed family of matrices intertwining the
+arrow actions.  On top of the abelian-category plumbing (kernels,
+cokernels, images, direct sums) the engine provides radicals and tops,
+minimal projective covers, syzygies and resolutions, Ext dimensions from
+Hom complexes, vector-space duality, the Hom(-, algebra) star with its
+evaluation map, torsionless/reflexivity tests, and bounded
+semi-Gorenstein-projective / Gorenstein-projective certificates.
 
 Modules and homs are immutable; every operation is a pure function.
 """
@@ -25,6 +31,7 @@ import numpy as np
 
 from .exactla import FpMatrix, Subspace, null_space, column_space, rows_array, solve, solve_many
 from .quiver import (
+    Arrow,
     MonomialIdeal,
     Path,
     Quiver,
@@ -35,6 +42,7 @@ from .quiver import (
 __all__ = [
     "AlgebraMismatch",
     "ShapeMismatch",
+    "Presentation",
     "Algebra",
     "Module",
     "Hom",
@@ -52,6 +60,7 @@ __all__ = [
     "projective_cover",
     "syzygy",
     "resolve",
+    "hom_complex",
     "ext_dims",
     "ext_dim",
     "pd_up_to",
@@ -63,7 +72,9 @@ __all__ = [
     "is_reflexive",
     "left_projective_approximation",
     "semi_gp_cert",
+    "star_cert",
     "gp_cert",
+    "submodule_generated",
     "random_module",
     "iso_probe",
 ]
@@ -77,46 +88,81 @@ class ShapeMismatch(ValueError):
     """Matrix shapes inconsistent with the declared dimension vector."""
 
 
-class Algebra:
-    """A monomial bound quiver algebra kQ/I over F_p.
+class Presentation:
+    """An algebra as the engine sees it.
 
-    The path basis and the per-vertex-pair path lists are computed once;
-    projectives, simples, injectives, the regular module, and the
-    opposite algebra are cached on first use.
+    A subclass supplies ``p`` (passed to ``__init__``), ``quiver``,
+    ``labels`` (how it names its points), ``word_bases`` (per pair of
+    points (x, y), the basis of e_y P(x) as arrow words in a fixed order,
+    asked for once, on first use), ``extend``, ``prepend``, ``reversal``
+    and ``opposite``.  Projectives, simples, injectives, the regular
+    module and right multiplication are derived here, and built once.
+    ``module`` and ``hom`` build the module and hom objects of the
+    subclass's kind.
     """
 
-    def __init__(self, quiver: Quiver, ideal: MonomialIdeal, p: int, cap: int = 64):
-        if ideal.quiver != quiver:
-            raise ValueError("ideal was built over a different quiver")
-        self.quiver = quiver
-        self.ideal = ideal
+    # how certificate reasons name Ext against the algebra, from a module
+    # and from its star, and the evaluation map
+    EXT_REASON = "ext^{i}(M, A) = {dim}"
+    STAR_EXT_REASON = "ext^{i}(M*, A-op) = {dim}"
+    EVALUATION_REASON = "evaluation map is not bijective"
+
+    quiver: Quiver
+
+    def __init__(self, p: int):
         self.p = p
-        self.cap = cap
-        self.paths = nonzero_paths(quiver, ideal, cap)  # NotAdmissible on failure
-        self.dim = len(self.paths)
-        self._between: dict[tuple[int, int], list[Path]] = {}
-        for path in self.paths:
-            self._between.setdefault((path.source, path.target), []).append(path)
-        self._fiber_index: dict[tuple[int, int], dict[Path, int]] = {
-            key: {q: i for i, q in enumerate(paths)} for key, paths in self._between.items()
-        }
+        self._between: dict[tuple[int, int], list[Path]] | None = None
+        self._fiber_index: dict[tuple[int, int], dict[Path, int]] = {}
         self._projectives: dict[int, Module] = {}
         self._simples: dict[int, Module] = {}
         self._injectives: dict[int, Module] = {}
         self._right_mult: dict[str, Hom] = {}
         self._regular: DirectSum | None = None
-        self._opposite: Algebra | None = None
+        self._opposite = None
 
-    # -- path bookkeeping --------------------------------------------------
+    # -- the presentation ----------------------------------------------------
+
+    def word_bases(self) -> dict[tuple[int, int], list[Path]]:
+        """The basis of e_y P(x) for every pair of points (x, y) it is nonzero at."""
+        raise NotImplementedError
+
+    def _index_bases(self) -> None:
+        self._between = self.word_bases()
+        self._fiber_index = {
+            key: {q: i for i, q in enumerate(paths)} for key, paths in self._between.items()
+        }
 
     def paths_between(self, v: int, w: int) -> list[Path]:
+        """The basis of e_w P(v): arrow words from v to w."""
+        if self._between is None:
+            self._index_bases()
         return self._between.get((v, w), [])
 
-    def paths_from(self, v: int) -> list[Path]:
-        return sorted(q for q in self.paths if q.source == v)
-
     def path_index(self, v: int, w: int, path: Path) -> int:
+        if self._between is None:
+            self._index_bases()
         return self._fiber_index[(v, w)][path]
+
+    def extend(self, path: Path, arrow: Arrow) -> Path | None:
+        """The basis word of ``path`` followed by ``arrow``; None when it is zero."""
+        raise NotImplementedError
+
+    def prepend(self, arrow: Arrow, path: Path) -> Path | None:
+        """The basis word of ``arrow`` followed by ``path``; None when it is zero."""
+        raise NotImplementedError
+
+    def reversal(self, path: Path) -> Path:
+        """The same basis element read backwards, as a word of ``opposite()``."""
+        raise NotImplementedError
+
+    def opposite(self) -> "Presentation":
+        raise NotImplementedError
+
+    def module(self, dims: tuple[int, ...], mats: dict) -> "Module":
+        return Module(self, dims, mats)
+
+    def hom(self, source: "Module", target: "Module", mats: tuple[FpMatrix, ...], check: bool = True) -> "Hom":
+        return Hom(source, target, mats, check)
 
     # -- distinguished modules ----------------------------------------------
 
@@ -127,24 +173,12 @@ class Algebra:
                 a.name: FpMatrix.zeros(self.p, dims[a.target - 1], dims[a.source - 1])
                 for a in self.quiver.arrows
             }
-            self._simples[v] = Module(self, dims, mats)
+            self._simples[v] = self.module(dims, mats)
         return self._simples[v]
 
     def projective(self, v: int) -> "Module":
         if v not in self._projectives:
-            dims = tuple(len(self.paths_between(v, w)) for w in self.quiver.vertices)
-            mats = {}
-            for a in self.quiver.arrows:
-                src = self.paths_between(v, a.source)
-                mat = np.zeros((dims[a.target - 1], dims[a.source - 1]), dtype=np.int64)
-                for col, q in enumerate(src):
-                    seq = q.arrows + (a.name,)
-                    if self.ideal.kills_extension(seq):
-                        continue
-                    longer = Path(v, a.target, seq)
-                    mat[self.path_index(v, a.target, longer), col] = 1
-                mats[a.name] = FpMatrix(self.p, mat)
-            self._projectives[v] = Module(self, dims, mats)
+            self._projectives[v] = FormalProjective(self, (v,)).module
         return self._projectives[v]
 
     def injective(self, v: int) -> "Module":
@@ -152,13 +186,13 @@ class Algebra:
             self._injectives[v] = dual_module(self.opposite().projective(v))
         return self._injectives[v]
 
-    def regular(self) -> "DirectSum":
-        """The algebra as a left module over itself, with its projective summands."""
+    def regular_module(self) -> "Module":
+        """The algebra as a left module over itself."""
         if self._regular is None:
             self._regular = direct_sum([self.projective(v) for v in self.quiver.vertices])
-        return self._regular
+        return self._regular.module
 
-    def right_multiplication(self, arrow_name: str) -> "Hom":
+    def right_multiplication(self, arrow_name) -> "Hom":
         """Right multiplication by an arrow a as a left-module map P(e(a)) -> P(s(a))."""
         if arrow_name not in self._right_mult:
             a = self.quiver.arrow(arrow_name)
@@ -167,13 +201,60 @@ class Algebra:
             for w in self.quiver.vertices:
                 mat = np.zeros((tgt.dim(w), src.dim(w)), dtype=np.int64)
                 for col, q in enumerate(self.paths_between(a.target, w)):
-                    seq = (a.name,) + q.arrows
-                    composite = Path(a.source, w, seq)
-                    if not self.ideal.contains(composite):
+                    composite = self.prepend(a, q)
+                    if composite is not None:
                         mat[self.path_index(a.source, w, composite), col] = 1
                 mats.append(FpMatrix(self.p, mat))
-            self._right_mult[arrow_name] = Hom(src, tgt, tuple(mats))
+            self._right_mult[arrow_name] = self.hom(src, tgt, tuple(mats))
         return self._right_mult[arrow_name]
+
+    def zero_module(self) -> "Module":
+        dims = tuple(0 for _ in self.quiver.vertices)
+        mats = {a.name: FpMatrix.zeros(self.p, 0, 0) for a in self.quiver.arrows}
+        return self.module(dims, mats)
+
+
+class Algebra(Presentation):
+    """A monomial bound quiver algebra kQ/I over F_p.
+
+    Its basis is the set of nonzero paths, computed once; a path times an
+    arrow is zero exactly when it ends in an ideal generator.
+    """
+
+    def __init__(self, quiver: Quiver, ideal: MonomialIdeal, p: int, cap: int = 64):
+        if ideal.quiver != quiver:
+            raise ValueError("ideal was built over a different quiver")
+        self.quiver = quiver
+        self.ideal = ideal
+        self.cap = cap
+        self.paths = nonzero_paths(quiver, ideal, cap)  # NotAdmissible on failure
+        self.dim = len(self.paths)
+        self.labels = tuple(quiver.vertices)
+        super().__init__(p)
+
+    def word_bases(self) -> dict[tuple[int, int], list[Path]]:
+        between: dict[tuple[int, int], list[Path]] = {}
+        for path in self.paths:
+            between.setdefault((path.source, path.target), []).append(path)
+        return between
+
+    def extend(self, path: Path, arrow: Arrow) -> Path | None:
+        seq = path.arrows + (arrow.name,)
+        if self.ideal.kills_extension(seq):
+            return None
+        return Path(path.source, arrow.target, seq)
+
+    def prepend(self, arrow: Arrow, path: Path) -> Path | None:
+        composite = Path(arrow.source, path.target, (arrow.name,) + path.arrows)
+        return None if self.ideal.contains(composite) else composite
+
+    def reversal(self, path: Path) -> Path:
+        return Path(path.target, path.source, tuple(reversed(path.arrows)))
+
+    def regular(self) -> "DirectSum":
+        """The algebra as a left module over itself, with its projective summands."""
+        self.regular_module()
+        return self._regular
 
     def opposite(self) -> "Algebra":
         if self._opposite is None:
@@ -183,17 +264,12 @@ class Algebra:
             self._opposite = opp
         return self._opposite
 
-    def zero_module(self) -> "Module":
-        dims = tuple(0 for _ in self.quiver.vertices)
-        mats = {a.name: FpMatrix.zeros(self.p, 0, 0) for a in self.quiver.arrows}
-        return Module(self, dims, mats)
-
     def __repr__(self) -> str:
         return f"Algebra(p={self.p}, dim={self.dim}, {self.quiver!r})"
 
 
 class Module:
-    """A finite-dimensional left module, i.e. a representation of (Q, I)."""
+    """A finite-dimensional left module: a space per point, a matrix per arrow."""
 
     __slots__ = ("algebra", "dims", "mats", "_path_cache")
 
@@ -307,12 +383,13 @@ class Hom:
         if other.target != self.source:
             raise ShapeMismatch("homs do not compose: middle modules differ")
         mats = tuple(self.mats[i] @ other.mats[i] for i in range(len(self.mats)))
-        return Hom(other.source, self.target, mats, check=False)
+        return self.source.algebra.hom(other.source, self.target, mats, check=False)
 
     def __add__(self, other: "Hom") -> "Hom":
         if other.source != self.source or other.target != self.target:
             raise ShapeMismatch("homs with different endpoints")
-        return Hom(self.source, self.target, tuple(a + b for a, b in zip(self.mats, other.mats)), check=False)
+        mats = tuple(a + b for a, b in zip(self.mats, other.mats))
+        return self.source.algebra.hom(self.source, self.target, mats, check=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hom):
@@ -324,7 +401,7 @@ class Hom:
 
 
 def identity_hom(m: Module) -> Hom:
-    return Hom(m, m, tuple(FpMatrix.identity(m.algebra.p, d) for d in m.dims), check=False)
+    return m.algebra.hom(m, m, tuple(FpMatrix.identity(m.algebra.p, d) for d in m.dims), check=False)
 
 
 def zero_hom(source: Module, target: Module) -> Hom:
@@ -332,7 +409,7 @@ def zero_hom(source: Module, target: Module) -> Hom:
         FpMatrix.zeros(source.algebra.p, target.dims[i], source.dims[i])
         for i in range(len(source.dims))
     )
-    return Hom(source, target, mats, check=False)
+    return source.algebra.hom(source, target, mats, check=False)
 
 
 # -- the Hom functor as a linear system ------------------------------------
@@ -368,7 +445,7 @@ class HomBasis:
             r, c = self.target.dim(v), self.source.dim(v)
             mats.append(FpMatrix(p, vec[off : off + r * c].reshape(r, c)))
             off += r * c
-        return Hom(self.source, self.target, tuple(mats), check=False)
+        return self.source.algebra.hom(self.source, self.target, tuple(mats), check=False)
 
     def homs(self) -> list[Hom]:
         if self._homs is None:
@@ -452,8 +529,8 @@ def _submodule_from_subspaces(m: Module, spaces: list[Subspace]) -> KernelPair:
         moved = (m.mats[a.name] @ incls[a.source - 1]).data
         coords = _coords_cols(spaces[a.target - 1], moved)
         mats[a.name] = FpMatrix(alg.p, coords)
-    sub = Module(alg, dims, mats)
-    incl = Hom(sub, m, tuple(incls))
+    sub = alg.module(dims, mats)
+    incl = alg.hom(sub, m, tuple(incls))
     return KernelPair(sub, incl)
 
 
@@ -483,8 +560,8 @@ def cokernel(f: Hom) -> CokernelPair:
     mats = {}
     for a in alg.quiver.arrows:
         mats[a.name] = projs[a.target - 1] @ f.target.mats[a.name] @ secs[a.source - 1]
-    coker = Module(alg, tuple(dims), mats)
-    return CokernelPair(coker, Hom(f.target, coker, tuple(projs)), tuple(secs))
+    coker = alg.module(tuple(dims), mats)
+    return CokernelPair(coker, alg.hom(f.target, coker, tuple(projs)), tuple(secs))
 
 
 def image(f: Hom) -> ImageData:
@@ -494,7 +571,7 @@ def image(f: Hom) -> ImageData:
     cores = []
     for v in alg.quiver.vertices:
         cores.append(FpMatrix(alg.p, _coords_cols(spaces[v - 1], f.mat(v).data)))
-    return ImageData(sub, incl, Hom(f.source, sub, tuple(cores)))
+    return ImageData(sub, incl, alg.hom(f.source, sub, tuple(cores)))
 
 
 def direct_sum(mods: list[Module]) -> DirectSum:
@@ -509,7 +586,7 @@ def direct_sum(mods: list[Module]) -> DirectSum:
         a.name: FpMatrix.block_diag(alg.p, [m.mats[a.name] for m in mods])
         for a in alg.quiver.arrows
     }
-    total = Module(alg, dims, mats)
+    total = alg.module(dims, mats)
     incls, projs = [], []
     for i, m in enumerate(mods):
         inc_mats, proj_mats = [], []
@@ -520,8 +597,8 @@ def direct_sum(mods: list[Module]) -> DirectSum:
                 inc[before + j, j] = 1
             inc_mats.append(FpMatrix(alg.p, inc))
             proj_mats.append(FpMatrix(alg.p, inc.T))
-        incls.append(Hom(m, total, tuple(inc_mats), check=False))
-        projs.append(Hom(total, m, tuple(proj_mats), check=False))
+        incls.append(alg.hom(m, total, tuple(inc_mats), check=False))
+        projs.append(alg.hom(total, m, tuple(proj_mats), check=False))
     return DirectSum(total, tuple(incls), tuple(projs))
 
 
@@ -531,7 +608,7 @@ def hom_from_columns(summands: DirectSum, target: Module, blocks: list[Hom]) -> 
     mats = []
     for v in target.algebra.quiver.vertices:
         mats.append(FpMatrix.hstack(p, target.dim(v), [b.mat(v) for b in blocks]))
-    return Hom(summands.module, target, tuple(mats))
+    return target.algebra.hom(summands.module, target, tuple(mats))
 
 
 def factor_through_mono(mono: Hom, g: Hom) -> Hom:
@@ -542,7 +619,7 @@ def factor_through_mono(mono: Hom, g: Hom) -> Hom:
         if sol is None:
             raise ValueError("map does not factor through the submodule")
         mats.append(FpMatrix(g.source.algebra.p, sol))
-    return Hom(g.source, mono.source, tuple(mats))
+    return g.source.algebra.hom(g.source, mono.source, tuple(mats))
 
 
 def lift_through_epi(epi: Hom, g: Hom) -> Hom:
@@ -604,15 +681,15 @@ def top(m: Module) -> CokernelPair:
 
 
 class FormalProjective:
-    """A direct sum of indecomposable projectives, kept as a vertex list.
+    """A direct sum of indecomposable projectives, kept as a list of points.
 
-    The realized module's fiber at w is ordered by (copy index, path),
-    paths in canonical order; the copy's generator sits at its trivial
-    path.  This layout is what makes Hom(-, N) complexes cheap: a hom out
-    of the sum is just a generator image per copy.
+    The realized module's fiber at w is ordered by (copy index, basis
+    word), words in the presentation's order; the copy's generator sits
+    at its trivial word.  This layout is what makes Hom(-, N) complexes
+    cheap: a hom out of the sum is just a generator image per copy.
     """
 
-    def __init__(self, algebra: Algebra, vertices: tuple[int, ...]):
+    def __init__(self, algebra: Presentation, vertices: tuple[int, ...]):
         self.algebra = algebra
         self.vertices = tuple(int(v) for v in vertices)
         self._fibers: dict[int, list[tuple[int, Path]]] = {
@@ -632,6 +709,12 @@ class FormalProjective:
     def is_zero(self) -> bool:
         return not self.vertices
 
+    @property
+    def pairs(self) -> tuple:
+        """The summands' points by their labels: (base vertex, factor vertex)
+        pairs over a tensor context, vertices over a bound quiver algebra."""
+        return tuple(self.algebra.labels[v - 1] for v in self.vertices)
+
     def fiber(self, w: int) -> list[tuple[int, Path]]:
         return self._fibers[w]
 
@@ -648,13 +731,11 @@ class FormalProjective:
             for a in alg.quiver.arrows:
                 mat = np.zeros((dims[a.target - 1], dims[a.source - 1]), dtype=np.int64)
                 for col, (t, q) in enumerate(self._fibers[a.source]):
-                    seq = q.arrows + (a.name,)
-                    if alg.ideal.kills_extension(seq):
-                        continue
-                    longer = Path(q.source, a.target, seq)
-                    mat[self._index[a.target][(t, longer)], col] = 1
+                    longer = alg.extend(q, a)
+                    if longer is not None:
+                        mat[self._index[a.target][(t, longer)], col] = 1
                 mats[a.name] = FpMatrix(alg.p, mat)
-            self._module = Module(alg, dims, mats)
+            self._module = alg.module(dims, mats)
         return self._module
 
 
@@ -686,7 +767,7 @@ def projective_cover(m: Module, pad_vertex: int | None = None) -> Cover:
         for col, (t, q) in enumerate(formal.fiber(w)):
             mat[:, col] = m.path_matrix(q).apply(lifts[t][1])
         mats.append(FpMatrix(alg.p, mat))
-    epi = Hom(proj, m, tuple(mats))
+    epi = alg.hom(proj, m, tuple(mats))
     for v in alg.quiver.vertices:
         if epi.mat(v).rank() != m.dim(v):
             raise RuntimeError("projective cover failed to surject (engine invariant)")
@@ -727,41 +808,44 @@ def resolve(m: Module, length: int, pad_vertex: int | None = None) -> Resolution
     return Resolution(m, formals, diffs, epi)
 
 
-def _hom_complex_ranks(res: Resolution, n: Module, kmax: int) -> tuple[list[int], list[int]]:
-    """Dimensions of Hom(P_i, n) and ranks of the complex differentials.
+def precompose_matrix(high: FormalProjective, low: FormalProjective, d: Hom, n: Module) -> np.ndarray:
+    """Matrix of (- o d): Hom(low, n) -> Hom(high, n) for d: high -> low.
 
     Uses Hom(P(v), n) = n_v: a hom out of a formal projective is its tuple
     of generator images, and precomposition acts through path actions on n.
     """
-    alg = n.algebra
-    p = alg.p
+    p = n.algebra.p
+    col_offs = np.concatenate([[0], np.cumsum([n.dim(v) for v in low.vertices], dtype=np.int64)])
+    row_offs = np.concatenate([[0], np.cumsum([n.dim(v) for v in high.vertices], dtype=np.int64)])
+    delta = np.zeros((int(row_offs[-1]), int(col_offs[-1])), dtype=np.int64)
+    for s in range(len(high.vertices)):
+        gen_vertex, gen_idx = high.generator_position(s)
+        col = d.mat(gen_vertex).data[:, gen_idx]
+        for pos, (t, q) in enumerate(low.fiber(gen_vertex)):
+            c = int(col[pos])
+            if c == 0:
+                continue
+            act = n.path_matrix(q).data
+            delta[row_offs[s] : row_offs[s + 1], col_offs[t] : col_offs[t + 1]] = (
+                delta[row_offs[s] : row_offs[s + 1], col_offs[t] : col_offs[t + 1]] + c * act
+            ) % p
+    return delta
+
+
+def hom_complex(res: Resolution, n: Module, kmax: int) -> tuple[list[int], list[np.ndarray]]:
+    """Dimensions of Hom(P_i, n) for i <= kmax + 1 and the differentials
+    Hom(P_i, n) -> Hom(P_{i+1}, n) for i <= kmax."""
     cdims = []
     for i in range(kmax + 2):
         f = res.formal(i)
         cdims.append(0 if f is None else sum(n.dim(v) for v in f.vertices))
-    ranks = []
+    deltas = []
     for i in range(kmax + 1):
-        low, high = res.formal(i), res.formal(i + 1)
-        if low is None or high is None or not cdims[i] or not cdims[i + 1]:
-            ranks.append(0)
-            continue
-        d = res.diffs[i]
-        col_offs = np.concatenate([[0], np.cumsum([n.dim(v) for v in low.vertices])])
-        row_offs = np.concatenate([[0], np.cumsum([n.dim(v) for v in high.vertices])])
-        delta = np.zeros((cdims[i + 1], cdims[i]), dtype=np.int64)
-        for s, w in enumerate(high.vertices):
-            gen_vertex, gen_idx = high.generator_position(s)
-            col = d.mat(gen_vertex).data[:, gen_idx]
-            for pos, (t, q) in enumerate(low.fiber(gen_vertex)):
-                c = int(col[pos])
-                if c == 0:
-                    continue
-                act = n.path_matrix(q).data
-                delta[row_offs[s] : row_offs[s + 1], col_offs[t] : col_offs[t + 1]] = (
-                    delta[row_offs[s] : row_offs[s + 1], col_offs[t] : col_offs[t + 1]] + c * act
-                ) % p
-        ranks.append(FpMatrix(p, delta).rank())
-    return cdims, ranks
+        if cdims[i] and cdims[i + 1]:
+            deltas.append(precompose_matrix(res.formal(i + 1), res.formal(i), res.diffs[i], n))
+        else:
+            deltas.append(np.zeros((cdims[i + 1], cdims[i]), dtype=np.int64))
+    return cdims, deltas
 
 
 def ext_dims(m: Module, n: Module, kmax: int, resolution: Resolution | None = None) -> list[int]:
@@ -769,7 +853,8 @@ def ext_dims(m: Module, n: Module, kmax: int, resolution: Resolution | None = No
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("Ext between modules over different algebras")
     res = resolution if resolution is not None else resolve(m, kmax + 1)
-    cdims, ranks = _hom_complex_ranks(res, n, kmax)
+    cdims, deltas = hom_complex(res, n, kmax)
+    ranks = [FpMatrix(n.algebra.p, d).rank() if d.size else 0 for d in deltas]
     out = []
     for k in range(kmax + 1):
         below = ranks[k - 1] if k else 0
@@ -798,12 +883,13 @@ def dual_module(m: Module) -> Module:
     """Vector-space dual, as a module over the opposite algebra."""
     opp = m.algebra.opposite()
     mats = {a.name: m.mats[a.name].T for a in m.algebra.quiver.arrows}
-    return Module(opp, m.dims, mats)
+    return opp.module(m.dims, mats)
 
 
 def dual_hom(f: Hom) -> Hom:
     """The dual map dual(target) -> dual(source) over the opposite algebra."""
-    return Hom(dual_module(f.target), dual_module(f.source), tuple(m.T for m in f.mats))
+    source, target = dual_module(f.target), dual_module(f.source)
+    return source.algebra.hom(source, target, tuple(m.T for m in f.mats))
 
 
 def _star_with_bases(m: Module) -> tuple[Module, dict[int, HomBasis]]:
@@ -818,7 +904,7 @@ def _star_with_bases(m: Module) -> tuple[Module, dict[int, HomBasis]]:
         for j, g in enumerate(bases[a.target].homs()):
             cols[:, j] = bases[a.source].coords(rho @ g)
         mats[a.name] = FpMatrix(alg.p, cols)
-    return Module(opp, dims, mats), bases
+    return opp.module(dims, mats), bases
 
 
 def star_module(m: Module) -> Module:
@@ -841,7 +927,7 @@ def _star_hom(
         for j, g in enumerate(tgt_bases[v].homs()):
             mat[:, j] = src_bases[v].coords(g @ h)
         mats.append(FpMatrix(alg.p, mat))
-    return Hom(star_tgt, star_src, tuple(mats))
+    return star_tgt.algebra.hom(star_tgt, star_src, tuple(mats))
 
 
 def _evaluation_against(
@@ -866,12 +952,11 @@ def _evaluation_against(
                 for j, g in enumerate(bases1[w].homs()):
                     val = g.mat(v).data[:, k]
                     for idx, q in enumerate(fiber):
-                        rev = Path(v, w, tuple(reversed(q.arrows)))
-                        block[opp.path_index(v, w, rev), j] = val[idx]
+                        block[opp.path_index(v, w, alg.reversal(q)), j] = val[idx]
                 blocks.append(block.reshape(-1))
             ev[:, k] = bases2[v].space.coords(np.concatenate(blocks) % p)
         mats.append(FpMatrix(p, ev))
-    return Hom(m, star2, tuple(mats))
+    return alg.hom(m, star2, tuple(mats))
 
 
 def evaluation_map(m: Module) -> Hom:
@@ -908,7 +993,7 @@ def left_projective_approximation(m: Module) -> Hom:
 def is_left_projective_approximation(phi: Hom) -> bool:
     """Whether precomposition with phi surjects Hom(target, A) onto Hom(source, A)."""
     alg = phi.source.algebra
-    reg = alg.regular().module
+    reg = alg.regular_module()
     src_basis = hom_space(phi.source, reg)
     tgt_basis = hom_space(phi.target, reg)
     if src_basis.dim == 0:
@@ -947,18 +1032,36 @@ class Certificate:
         return f"UNKNOWN({self.reason})"
 
 
+def _ext_vanishing(m: Module, bound: int, reason: str) -> Certificate:
+    """Ext^i(m, algebra) = 0 for 1 <= i <= bound, refuted at the first nonzero degree."""
+    dims = ext_dims(m, m.algebra.regular_module(), bound)
+    for i in range(1, bound + 1):
+        if dims[i]:
+            return Certificate("REFUTED", bound, reason.format(i=i, dim=dims[i]), i)
+    return Certificate("CERTIFIED_UP_TO", bound)
+
+
 def semi_gp_cert(m: Module, bound: int) -> Certificate:
     """Vanishing of Ext^i(m, algebra) for 1 <= i <= bound.
 
     A nonzero group refutes definitively; otherwise the verdict is
     certified up to the bound.
     """
-    reg = m.algebra.regular().module
-    dims = ext_dims(m, reg, bound)
-    for i in range(1, bound + 1):
-        if dims[i]:
-            return Certificate("REFUTED", bound, f"ext^{i}(M, A) = {dims[i]}", i)
-    return Certificate("CERTIFIED_UP_TO", bound)
+    return _ext_vanishing(m, bound, m.algebra.EXT_REASON)
+
+
+def star_cert(m: Module, bound: int) -> Certificate:
+    """The star half of ``gp_cert``: Ext vanishing of star(m) against the
+    opposite algebra up to the bound, then bijectivity of the evaluation
+    map.  It equals ``gp_cert`` for a module whose ``semi_gp_cert`` holds."""
+    star1, b1 = _star_with_bases(m)
+    cert = _ext_vanishing(star1, bound, m.algebra.STAR_EXT_REASON)
+    if cert.refuted:
+        return cert
+    star2, b2 = _star_with_bases(star1)
+    if not _evaluation_against(m, star1, b1, star2, b2).is_bijective():
+        return Certificate("REFUTED", bound, m.algebra.EVALUATION_REASON)
+    return cert
 
 
 def gp_cert(m: Module, bound: int) -> Certificate:
@@ -969,19 +1072,7 @@ def gp_cert(m: Module, bound: int) -> Certificate:
     definitively, joint success certifies up to the bound.
     """
     first = semi_gp_cert(m, bound)
-    if first.refuted:
-        return first
-    star1, b1 = _star_with_bases(m)
-    opp_reg = star1.algebra.regular().module
-    dims = ext_dims(star1, opp_reg, bound)
-    for i in range(1, bound + 1):
-        if dims[i]:
-            return Certificate("REFUTED", bound, f"ext^{i}(M*, A-op) = {dims[i]}", i)
-    star2, b2 = _star_with_bases(star1)
-    ev = _evaluation_against(m, star1, b1, star2, b2)
-    if not ev.is_bijective():
-        return Certificate("REFUTED", bound, "evaluation map is not bijective")
-    return Certificate("CERTIFIED_UP_TO", bound)
+    return first if first.refuted else star_cert(m, bound)
 
 
 # -- sampling and isomorphism probes ------------------------------------------

@@ -210,7 +210,7 @@ def cmd_ext(args) -> int:
         y, bad2 = load_layered_file(args.second, args.prime, context=x.context)
         if bad1 or bad2:
             raise CliError("; ".join(bad1 + bad2), FAIL)
-        print(layered.layered_ext_dims(x, y, args.k)[args.k])
+        print(bqa.ext_dims(x, y, args.k)[args.k])
         return PASS
     raise CliError(f"unsupported file type '{ha}' for ext")
 
@@ -221,16 +221,11 @@ def _cert_command(args, semi: bool) -> int:
         m, bad, _ = load_module_file(args.path, args.prime)
         if bad:
             raise CliError(f"{args.path}: " + "; ".join(bad), FAIL)
-        cert = bqa.semi_gp_cert(m, args.bound) if semi else bqa.gp_cert(m, args.bound)
     elif header == formats.LAYERED_HEADER:
-        x = _load_valid_layered(args.path, args.prime)
-        cert = (
-            layered.layered_semi_gp_cert(x, args.bound)
-            if semi
-            else layered.layered_gp_cert(x, args.bound)
-        )
+        m = _load_valid_layered(args.path, args.prime)
     else:
         raise CliError(f"{args.path}: unrecognized header '{header}'")
+    cert = bqa.semi_gp_cert(m, args.bound) if semi else bqa.gp_cert(m, args.bound)
     print(cert.render())
     if cert.certified:
         return PASS
@@ -401,15 +396,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_ranges(args) -> None:
+    """Reject numeric arguments outside the range their command can use."""
+    for name in ("k", "bound", "samples"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise CliError(f"--{name} must be >= 0, not {value}")
+    budget = getattr(args, "budget", None)
+    if budget is not None and budget < 1:
+        raise CliError(f"--budget must be >= 1, not {budget}")
+    only = getattr(args, "only_instance", None)
+    if only is not None and not 0 <= only < args.samples:
+        raise CliError(f"--only-instance must lie in [0, {args.samples}), not {only}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ParseError, bqa.AlgebraMismatch, bqa.ShapeMismatch) as exc:
+    except (ParseError, bqa.AlgebraMismatch, bqa.ShapeMismatch, harness.NotNakayama) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bqa import Algebra, Hom, Module
-from .exactla import FpMatrix
+from .exactla import FpMatrix, validate_prime
 from .layered import LayeredModule, TensorContext
 from .quiver import Arrow, MonomialIdeal, Quiver, make_path
 
@@ -98,6 +98,10 @@ def parse_algebra(text: str, prime_override: int | None = None, acyclic: bool = 
     if len(toks) != 1:
         raise ParseError(no, "prime line needs one value")
     p = prime_override if prime_override is not None else _int(no, toks[0], "prime")
+    try:
+        validate_prime(p)
+    except ValueError as exc:
+        raise ParseError(no, str(exc)) from None
     toks = lines.expect("vertices")
     no = lines.rows[lines.pos - 1][0]
     n = _int(no, toks[0], "vertex count")

@@ -1,30 +1,32 @@
-"""Layered representations: modules over A (x) kQ/I kept in layers.
+"""Layered representations: modules over A (x) kQ/I read in layers.
 
 A module over the tensor algebra of a base algebra A with a bound acyclic
-quiver (Q, I) is stored as one A-module per Q-vertex plus one A-hom per
-Q-arrow killing the ideal generators.  All homological algebra happens in
-this layered category directly; nothing is flattened to a single bound
-quiver presentation (the tensor relations are not monomial).
+quiver (Q, I) is a representation of (Q, I) valued in A-modules: one
+A-module per Q-vertex (a branch) plus one A-hom per Q-arrow killing the
+ideal generators.  ``TensorContext`` presents the tensor algebra to the
+homological engine in ``bqa`` (its relations are not monomial, but the
+engine never reads relations), so covers, resolutions, Ext, the star and
+the certificates of layered modules are the engine's own; the branches
+and arrow maps are views of the engine's points and arrows.
 
-Provides the branch cokernel/kernel functors, tensor constructions,
-separated monic/epic membership with pluggable coefficient classes,
-layered projective covers, resolutions and Ext, duality, the layered
-star/evaluation machinery with bounded Gorenstein-projective
-certificates, source-vertex triangular splitting, and the
-semi-Gorenstein-projective triple conditions.
+This module adds what only the layered reading has: the branch
+cokernel/kernel functors, tensor constructions, separated monic/epic
+membership with pluggable coefficient classes, source-vertex triangular
+splitting with the semi-Gorenstein-projective triple conditions, the Ext
+adjunction identities, extensions, and random layered modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
 from . import bqa
 from .bqa import Algebra, Certificate, Hom, Module
-from .exactla import FpMatrix, PrimeMismatch, Subspace, null_space, column_space, rows_array, solve, QuotientSpace
-from .quiver import Path, paths_annihilated_by, paths_annihilating
+from .exactla import FpMatrix, PrimeMismatch, Subspace, null_space, column_space, QuotientSpace
+from .quiver import Arrow, Path, Quiver, paths_annihilated_by, paths_annihilating
 
 __all__ = [
     "NotSource",
@@ -32,31 +34,15 @@ __all__ = [
     "TensorContext",
     "LayeredModule",
     "LayeredHom",
-    "LayeredHomBasis",
     "ClassPredicate",
     "CheckResult",
     "Triple",
     "tensor",
-    "tensor_hom",
     "branch_cokernel",
     "branch_kernel",
     "outgoing_kernel",
     "check_separated_monic",
     "check_separated_epic",
-    "layered_hom_space",
-    "layered_kernel",
-    "layered_cokernel",
-    "layered_image",
-    "layered_direct_sum",
-    "layered_projective_cover",
-    "layered_resolve",
-    "layered_ext_dims",
-    "layered_pd_up_to",
-    "dual_layered",
-    "layered_star",
-    "layered_evaluation_map",
-    "layered_semi_gp_cert",
-    "layered_gp_cert",
     "adjunction_check",
     "split_at_source",
     "assemble",
@@ -76,13 +62,33 @@ class SmonRequired(ValueError):
     """The Ext-level adjunction identity needs a separated monic argument."""
 
 
-class TensorContext:
-    """The pair (A, kQ/I) defining the tensor algebra, with caches.
+def _at_branch(arrow_name: str, i: int) -> tuple:
+    """The engine arrow of a base arrow acting in branch i."""
+    return ("A", arrow_name, i)
+
+
+def _at_vertex(arrow_name: str, v: int) -> tuple:
+    """The engine arrow of a factor arrow acting at base vertex v."""
+    return ("Q", arrow_name, v)
+
+
+class TensorContext(bqa.Presentation):
+    """The tensor algebra of a base algebra A and a factor algebra kQ/I.
 
     The factor algebra must sit over an acyclic quiver and share the base
-    algebra's prime.  Opposites, tensor generators P_A(v) (x) P(i), and
-    the layered regular module are cached per context.
+    algebra's prime.  As a presentation, its points are the pairs
+    (factor vertex i, base vertex v), numbered i-major; its arrows are
+    each base arrow in every branch and each factor arrow at every base
+    vertex; ``labels`` names point (i, v) as the pair (v, i), base vertex
+    first, as covers list their summands.  The basis of P(i, v) at (j, w)
+    is the pairs (factor path i -> j, base path v -> w), factor path
+    major; a pair's word runs its factor path at base vertex v, then its
+    base path in branch j.
     """
+
+    EXT_REASON = "layered ext^{i}(X, algebra) = {dim}"
+    STAR_EXT_REASON = "star side: layered ext^{i}(X, algebra) = {dim}"
+    EVALUATION_REASON = "layered evaluation map is not bijective"
 
     def __init__(self, base: Algebra, factor: Algebra):
         if base.p != factor.p:
@@ -91,12 +97,77 @@ class TensorContext:
             raise ValueError("the tensor factor quiver must be acyclic")
         self.base = base
         self.factor = factor
-        self.p = base.p
-        self._opposite: TensorContext | None = None
-        self._generators: dict[tuple[int, int], LayeredModule] = {}
-        self._regular: LayeredModule | None = None
+        self.labels = tuple((v, i) for i in factor.quiver.vertices for v in base.quiver.vertices)
+        super().__init__(base.p)
+        self._pair_of: dict[Path, tuple[Path, Path]] = {}
         self._annihilated: dict[str, list[Path]] = {}
         self._annihilating: dict[str, list[Path]] = {}
+
+    @cached_property
+    def quiver(self) -> Quiver:
+        """The engine's quiver, built on first use: layered-only work never needs it."""
+        base, factor = self.base, self.factor
+        arrows = [
+            Arrow(_at_branch(a.name, i), self.point(i, a.source), self.point(i, a.target))
+            for i in factor.quiver.vertices
+            for a in base.quiver.arrows
+        ] + [
+            Arrow(_at_vertex(b.name, v), self.point(b.source, v), self.point(b.target, v))
+            for b in factor.quiver.arrows
+            for v in base.quiver.vertices
+        ]
+        return Quiver(len(self.labels), arrows)
+
+    def point(self, i: int, v: int) -> int:
+        """The engine point of factor vertex i and base vertex v."""
+        return (i - 1) * self.base.quiver.n + v
+
+    @property
+    def ideal(self) -> tuple:
+        """The base and factor relations; with the commutativity squares
+        they present the algebra.  The engine never reads them."""
+        return (self.base.ideal, self.factor.ideal)
+
+    def word_bases(self) -> dict[tuple[int, int], list[Path]]:
+        between: dict[tuple[int, int], list[Path]] = {}
+        for fp in self.factor.paths:
+            for bp in self.base.paths:
+                word = self._word(fp, bp)
+                self._pair_of[word] = (fp, bp)
+                between.setdefault((word.source, word.target), []).append(word)
+        return between
+
+    def _word(self, fp: Path, bp: Path) -> Path:
+        word = tuple(_at_vertex(b, bp.source) for b in fp.arrows)
+        word += tuple(_at_branch(a, fp.target) for a in bp.arrows)
+        return Path(self.point(fp.source, bp.source), self.point(fp.target, bp.target), word)
+
+    def _act(self, path: Path, arrow: Arrow, before: bool) -> Path | None:
+        """The basis word of ``arrow`` acting on ``path``, before or after it."""
+        fp, bp = self._pair_of[path]
+        kind, name, _ = arrow.name
+        alg, old = (self.base, bp) if kind == "A" else (self.factor, fp)
+        a = alg.quiver.arrow(name)
+        new = alg.prepend(a, old) if before else alg.extend(old, a)
+        if new is None:
+            return None
+        return self._word(fp, new) if kind == "A" else self._word(new, bp)
+
+    def extend(self, path: Path, arrow: Arrow) -> Path | None:
+        return self._act(path, arrow, before=False)
+
+    def prepend(self, arrow: Arrow, path: Path) -> Path | None:
+        return self._act(path, arrow, before=True)
+
+    def reversal(self, path: Path) -> Path:
+        fp, bp = self._pair_of[path]
+        return self.opposite()._word(self.factor.reversal(fp), self.base.reversal(bp))
+
+    def module(self, dims: tuple[int, ...], mats: dict) -> "LayeredModule":
+        return LayeredModule.from_points(self, dims, mats)
+
+    def hom(self, source, target, mats: tuple[FpMatrix, ...], check: bool = True) -> "LayeredHom":
+        return LayeredHom.from_points(source, target, mats, check)
 
     def opposite(self) -> "TensorContext":
         if self._opposite is None:
@@ -105,25 +176,9 @@ class TensorContext:
             self._opposite = opp
         return self._opposite
 
-    def generator(self, v: int, i: int) -> "LayeredModule":
-        """The layered projective generator P_A(v) (x) P(i)."""
-        if (v, i) not in self._generators:
-            self._generators[(v, i)] = tensor(self, self.base.projective(v), self.factor.projective(i))
-        return self._generators[(v, i)]
-
     def regular(self) -> "LayeredModule":
         """The tensor algebra as a layered module over itself."""
-        if self._regular is None:
-            self._regular = tensor(self, self.base.regular().module, self.factor.regular().module)
-        return self._regular
-
-    def projective_generators(self) -> list[tuple[int, int, "LayeredModule"]]:
-        """All indecomposable layered projectives as (base vertex, factor vertex, module)."""
-        return [
-            (v, i, self.generator(v, i))
-            for v in self.base.quiver.vertices
-            for i in self.factor.quiver.vertices
-        ]
+        return self.regular_module()
 
     def annihilated_by(self, arrow_name: str) -> list[Path]:
         if arrow_name not in self._annihilated:
@@ -139,20 +194,20 @@ class TensorContext:
             )
         return self._annihilating[arrow_name]
 
-    def zero_module(self) -> "LayeredModule":
-        z = self.base.zero_module()
-        branches = tuple(z for _ in self.factor.quiver.vertices)
-        maps = {a.name: bqa.zero_hom(z, z) for a in self.factor.quiver.arrows}
-        return LayeredModule(self, branches, maps, check=False)
-
     def __repr__(self) -> str:
         return f"TensorContext(base dim {self.base.dim}, factor dim {self.factor.dim}, p={self.p})"
 
 
-class LayeredModule:
-    """A representation of the factor quiver valued in base-algebra modules."""
+class LayeredModule(Module):
+    """A representation of the factor quiver valued in base-algebra modules.
 
-    __slots__ = ("context", "branches", "arrow_maps", "_qpath_cache")
+    As an engine module it has a space per point (i, v) and a matrix per
+    arrow; ``branch(i)`` and ``arrow_maps`` read the same data in layers.
+    They are kept from the constructor, or built on first use for a
+    module the engine made.
+    """
+
+    __slots__ = ("_branches", "_arrow_maps", "_qpath_cache")
 
     def __init__(
         self,
@@ -175,24 +230,73 @@ class LayeredModule:
                 raise ValueError(f"arrow map {a.name} has the wrong source branch")
             if h.target is not branches[a.target - 1] and h.target != branches[a.target - 1]:
                 raise ValueError(f"arrow map {a.name} has the wrong target branch")
-        self.context = context
-        self.branches = tuple(branches)
-        self.arrow_maps = dict(arrow_maps)
+        # the branches and arrow maps were checked when they were built, so
+        # the engine's reading of them needs no further shape checks
+        self.algebra = context
+        self.dims = tuple(d for b in branches for d in b.dims)
+        self.mats = {
+            _at_branch(a.name, i): b.mats[a.name]
+            for i, b in enumerate(branches, start=1)
+            for a in context.base.quiver.arrows
+        }
+        for a in q.arrows:
+            for v in context.base.quiver.vertices:
+                self.mats[_at_vertex(a.name, v)] = arrow_maps[a.name].mat(v)
+        self._path_cache = {}
+        self._branches = tuple(branches)
+        self._arrow_maps = dict(arrow_maps)
         self._qpath_cache: dict[tuple[int, tuple[str, ...]], Hom] = {}
         if check:
             bad = self.violations()
             if bad:
                 raise ValueError("invalid layered module: " + "; ".join(bad))
 
-    def branch(self, i: int) -> Module:
-        return self.branches[i - 1]
+    @classmethod
+    def from_points(cls, context: TensorContext, dims: tuple[int, ...], mats: dict) -> "LayeredModule":
+        """The layered module with the given spaces and matrices at the engine's points and arrows."""
+        x = cls.__new__(cls)
+        Module.__init__(x, context, dims, mats)
+        x._branches = None
+        x._arrow_maps = None
+        x._qpath_cache = {}
+        return x
 
     @property
-    def total_dim(self) -> int:
-        return sum(b.total_dim for b in self.branches)
+    def context(self) -> TensorContext:
+        return self.algebra
 
-    def is_zero(self) -> bool:
-        return self.total_dim == 0
+    @property
+    def branches(self) -> tuple[Module, ...]:
+        if self._branches is None:
+            ctx = self.algebra
+            n = ctx.base.quiver.n
+            self._branches = tuple(
+                Module(
+                    ctx.base,
+                    self.dims[(i - 1) * n : i * n],
+                    {a.name: self.mats[_at_branch(a.name, i)] for a in ctx.base.quiver.arrows},
+                )
+                for i in ctx.factor.quiver.vertices
+            )
+        return self._branches
+
+    @property
+    def arrow_maps(self) -> dict[str, Hom]:
+        if self._arrow_maps is None:
+            ctx = self.algebra
+            self._arrow_maps = {
+                a.name: Hom(
+                    self.branch(a.source),
+                    self.branch(a.target),
+                    tuple(self.mats[_at_vertex(a.name, v)] for v in ctx.base.quiver.vertices),
+                    check=False,
+                )
+                for a in ctx.factor.quiver.arrows
+            }
+        return self._arrow_maps
+
+    def branch(self, i: int) -> Module:
+        return self.branches[i - 1]
 
     def dim_table(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b.dims for b in self.branches)
@@ -229,23 +333,15 @@ class LayeredModule:
                 out.append(f"factor relation {g} does not vanish")
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LayeredModule):
-            return NotImplemented
-        return (
-            self.context is other.context
-            and self.branches == other.branches
-            and all(self.arrow_maps[k] == other.arrow_maps[k] for k in self.arrow_maps)
-        )
-
     def __repr__(self) -> str:
         return f"LayeredModule(dims={self.dim_table()})"
 
 
-class LayeredHom:
-    """A homomorphism of layered modules: one base-algebra hom per branch."""
+class LayeredHom(Hom):
+    """A homomorphism of layered modules: one base-algebra hom per branch,
+    read off the engine's matrices per point."""
 
-    __slots__ = ("source", "target", "parts")
+    __slots__ = ("_parts",)
 
     def __init__(self, source: LayeredModule, target: LayeredModule, parts: tuple[Hom, ...], check: bool = True):
         if source.context is not target.context:
@@ -257,281 +353,61 @@ class LayeredHom:
             part = parts[i - 1]
             if part.source != source.branch(i) or part.target != target.branch(i):
                 raise ValueError(f"part {i} endpoints do not match the branches")
+        # the parts are base-module homs with checked shapes; what is left to
+        # check is that they commute with the factor arrows
         self.source = source
         self.target = target
-        self.parts = tuple(parts)
-        if check and not self.is_natural():
-            raise ValueError("layered hom does not commute with the arrow maps")
+        self.mats = tuple(m for part in parts for m in part.mats)
+        self._parts = tuple(parts)
+        if check:
+            for a in q.arrows:
+                lhs = target.arrow_maps[a.name] @ self.part(a.source)
+                if lhs != self.part(a.target) @ source.arrow_maps[a.name]:
+                    raise ValueError("layered hom does not commute with the arrow maps")
+
+    @classmethod
+    def from_points(cls, source: LayeredModule, target: LayeredModule, mats: tuple[FpMatrix, ...], check: bool = True) -> "LayeredHom":
+        """The layered hom with the given matrices at the engine's points."""
+        h = cls.__new__(cls)
+        Hom.__init__(h, source, target, mats, check)
+        h._parts = None
+        return h
+
+    @property
+    def parts(self) -> tuple[Hom, ...]:
+        if self._parts is None:
+            ctx = self.source.context
+            n = ctx.base.quiver.n
+            self._parts = tuple(
+                Hom(self.source.branch(i), self.target.branch(i), self.mats[(i - 1) * n : i * n], check=False)
+                for i in ctx.factor.quiver.vertices
+            )
+        return self._parts
 
     def part(self, i: int) -> Hom:
         return self.parts[i - 1]
 
-    def is_natural(self) -> bool:
-        for a in self.source.context.factor.quiver.arrows:
-            lhs = self.target.arrow_maps[a.name] @ self.part(a.source)
-            rhs = self.part(a.target) @ self.source.arrow_maps[a.name]
-            if lhs != rhs:
-                return False
-        return True
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.parts)
-
-    def is_injective(self) -> bool:
-        return all(p.is_injective() for p in self.parts)
-
-    def is_surjective(self) -> bool:
-        return all(p.is_surjective() for p in self.parts)
-
-    def is_bijective(self) -> bool:
-        return self.is_injective() and self.is_surjective()
-
-    def __matmul__(self, other: "LayeredHom") -> "LayeredHom":
-        if other.target != self.source:
-            raise ValueError("layered homs do not compose")
-        parts = tuple(self.parts[i] @ other.parts[i] for i in range(len(self.parts)))
-        return LayeredHom(other.source, self.target, parts, check=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LayeredHom):
-            return NotImplemented
-        return self.source == other.source and self.target == other.target and self.parts == other.parts
+# The engine's constructions under the names tests and benchmark code call
+# on layered modules.
+layered_hom_dim = bqa.hom_dim
+layered_kernel = bqa.kernel
+layered_projective_cover = bqa.projective_cover
+layered_resolve = bqa.resolve
+layered_ext_dims = bqa.ext_dims
+layered_pd_up_to = bqa.pd_up_to
+layered_semi_gp_cert = bqa.semi_gp_cert
+layered_gp_cert = bqa.gp_cert
+layered_star = bqa.star_module
+layered_evaluation_map = bqa.evaluation_map
+dual_layered = bqa.dual_module
 
 
-def layered_identity(x: LayeredModule) -> LayeredHom:
-    return LayeredHom(x, x, tuple(bqa.identity_hom(b) for b in x.branches), check=False)
-
-
-def layered_zero_hom(x: LayeredModule, y: LayeredModule) -> LayeredHom:
-    parts = tuple(bqa.zero_hom(x.branches[k], y.branches[k]) for k in range(len(x.branches)))
-    return LayeredHom(x, y, parts, check=False)
-
-
-# -- hom spaces ---------------------------------------------------------------
-
-
-def _layered_vec(h: LayeredHom) -> np.ndarray:
-    chunks = []
-    for part in h.parts:
-        for m in part.mats:
-            chunks.append(m.data.reshape(-1))
-    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-
-
-class LayeredHomBasis:
-    """Canonical echelon basis of the space of layered homs x -> y."""
-
-    def __init__(self, source: LayeredModule, target: LayeredModule, space: Subspace):
-        self.source = source
-        self.target = target
-        self.space = space
-        self._homs: list[LayeredHom] | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def from_vector(self, vec: np.ndarray) -> LayeredHom:
-        ctx = self.source.context
-        p = ctx.p
-        parts = []
-        off = 0
-        for i in ctx.factor.quiver.vertices:
-            mats = []
-            for v in ctx.base.quiver.vertices:
-                r = self.target.branch(i).dim(v)
-                c = self.source.branch(i).dim(v)
-                mats.append(FpMatrix(p, vec[off : off + r * c].reshape(r, c)))
-                off += r * c
-            parts.append(Hom(self.source.branch(i), self.target.branch(i), tuple(mats), check=False))
-        return LayeredHom(self.source, self.target, tuple(parts), check=False)
-
-    def homs(self) -> list[LayeredHom]:
-        if self._homs is None:
-            self._homs = [self.from_vector(row) for row in self.space.basis.data]
-        return self._homs
-
-    def coords(self, h: LayeredHom) -> np.ndarray:
-        return self.space.coords(_layered_vec(h))
-
-
-def _layered_offsets(x: LayeredModule, y: LayeredModule) -> tuple[np.ndarray, int]:
-    ctx = x.context
-    sizes = []
-    for i in ctx.factor.quiver.vertices:
-        for v in ctx.base.quiver.vertices:
-            sizes.append(y.branch(i).dim(v) * x.branch(i).dim(v))
-    offs = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
-    return offs, int(offs[-1])
-
-
-def _block_slot(ctx: TensorContext, i: int, v: int) -> int:
-    return (i - 1) * ctx.base.quiver.n + (v - 1)
-
-
-def _layered_naturality_rows(x: LayeredModule, y: LayeredModule) -> np.ndarray:
-    """Constraints cutting Hom(x, y) out of the blocked (branch, vertex) layout."""
-    ctx = x.context
-    p = ctx.p
-    offs, total = _layered_offsets(x, y)
-    blocks = []
-    # each part must be an A-hom
-    for i in ctx.factor.quiver.vertices:
-        xb, yb = x.branch(i), y.branch(i)
-        for a in ctx.base.quiver.arrows:
-            s, e = a.source, a.target
-            rows = yb.dim(e) * xb.dim(s)
-            if rows == 0:
-                continue
-            block = np.zeros((rows, total), dtype=np.int64)
-            so = offs[_block_slot(ctx, i, s)]
-            eo = offs[_block_slot(ctx, i, e)]
-            block[:, so : so + yb.dim(s) * xb.dim(s)] = np.kron(
-                yb.mats[a.name].data, np.eye(xb.dim(s), dtype=np.int64)
-            )
-            block[:, eo : eo + yb.dim(e) * xb.dim(e)] = (
-                block[:, eo : eo + yb.dim(e) * xb.dim(e)]
-                - np.kron(np.eye(yb.dim(e), dtype=np.int64), xb.mats[a.name].data.T)
-            ) % p
-            blocks.append(block)
-    # the family must intertwine the factor arrows
-    for a in ctx.factor.quiver.arrows:
-        s, e = a.source, a.target
-        xa, ya = x.arrow_maps[a.name], y.arrow_maps[a.name]
-        for v in ctx.base.quiver.vertices:
-            rows = y.branch(e).dim(v) * x.branch(s).dim(v)
-            if rows == 0:
-                continue
-            block = np.zeros((rows, total), dtype=np.int64)
-            so = offs[_block_slot(ctx, s, v)]
-            eo = offs[_block_slot(ctx, e, v)]
-            block[:, so : so + y.branch(s).dim(v) * x.branch(s).dim(v)] = np.kron(
-                ya.mat(v).data, np.eye(x.branch(s).dim(v), dtype=np.int64)
-            )
-            block[:, eo : eo + y.branch(e).dim(v) * x.branch(e).dim(v)] = (
-                block[:, eo : eo + y.branch(e).dim(v) * x.branch(e).dim(v)]
-                - np.kron(np.eye(y.branch(e).dim(v), dtype=np.int64), xa.mat(v).data.T)
-            ) % p
-            blocks.append(block)
-    if not blocks:
-        return np.zeros((0, total), dtype=np.int64)
-    return np.concatenate(blocks, axis=0) % p
-
-
-def layered_hom_space(x: LayeredModule, y: LayeredModule) -> LayeredHomBasis:
-    if x.context is not y.context:
-        raise ValueError("hom space across contexts")
-    rows = _layered_naturality_rows(x, y)
-    return LayeredHomBasis(x, y, null_space(FpMatrix(x.context.p, rows)))
-
-
-def layered_hom_dim(x: LayeredModule, y: LayeredModule) -> int:
-    return layered_hom_space(x, y).dim
-
-
-# -- abelian structure --------------------------------------------------------
-
-
-class LayeredKernelPair(NamedTuple):
-    module: LayeredModule
-    inclusion: LayeredHom
-
-
-class LayeredCokernelPair(NamedTuple):
-    module: LayeredModule
-    projection: LayeredHom
-
-
-class LayeredImageData(NamedTuple):
-    module: LayeredModule
-    inclusion: LayeredHom
-    corestriction: LayeredHom
-
-
-class LayeredDirectSum(NamedTuple):
-    module: LayeredModule
-    inclusions: tuple[LayeredHom, ...]
-    projections: tuple[LayeredHom, ...]
-
-
-def layered_kernel(h: LayeredHom) -> LayeredKernelPair:
-    ctx = h.source.context
-    kers = [bqa.kernel(h.part(i)) for i in ctx.factor.quiver.vertices]
-    branches = tuple(k.module for k in kers)
-    maps = {}
-    for a in ctx.factor.quiver.arrows:
-        incl_s, incl_e = kers[a.source - 1].inclusion, kers[a.target - 1].inclusion
-        maps[a.name] = bqa.factor_through_mono(incl_e, h.source.arrow_maps[a.name] @ incl_s)
-    ker = LayeredModule(ctx, branches, maps, check=False)
-    incl = LayeredHom(ker, h.source, tuple(k.inclusion for k in kers), check=False)
-    return LayeredKernelPair(ker, incl)
-
-
-def layered_cokernel(h: LayeredHom) -> LayeredCokernelPair:
-    ctx = h.source.context
-    cokers = [bqa.cokernel(h.part(i)) for i in ctx.factor.quiver.vertices]
-    branches = tuple(c.module for c in cokers)
-    maps = {}
-    for a in ctx.factor.quiver.arrows:
-        cs, ce = cokers[a.source - 1], cokers[a.target - 1]
-        mats = []
-        for v in ctx.base.quiver.vertices:
-            mats.append(ce.projection.mat(v) @ h.target.arrow_maps[a.name].mat(v) @ cs.sections[v - 1])
-        maps[a.name] = Hom(cs.module, ce.module, tuple(mats))
-    coker = LayeredModule(ctx, branches, maps, check=False)
-    proj = LayeredHom(h.target, coker, tuple(c.projection for c in cokers), check=False)
-    return LayeredCokernelPair(coker, proj)
-
-
-def layered_image(h: LayeredHom) -> LayeredImageData:
-    ctx = h.source.context
-    images = [bqa.image(h.part(i)) for i in ctx.factor.quiver.vertices]
-    branches = tuple(im.module for im in images)
-    maps = {}
-    for a in ctx.factor.quiver.arrows:
-        incl_s, incl_e = images[a.source - 1].inclusion, images[a.target - 1].inclusion
-        maps[a.name] = bqa.factor_through_mono(incl_e, h.target.arrow_maps[a.name] @ incl_s)
-    im = LayeredModule(ctx, branches, maps, check=False)
-    incl = LayeredHom(im, h.target, tuple(i.inclusion for i in images), check=False)
-    cores = LayeredHom(h.source, im, tuple(i.corestriction for i in images), check=False)
-    return LayeredImageData(im, incl, cores)
-
-
-def layered_direct_sum(mods: list[LayeredModule]) -> LayeredDirectSum:
-    if not mods:
-        raise ValueError("direct sum needs at least one summand")
-    ctx = mods[0].context
-    sums = [bqa.direct_sum([m.branch(i) for m in mods]) for i in ctx.factor.quiver.vertices]
-    branches = tuple(s.module for s in sums)
-    maps = {}
-    for a in ctx.factor.quiver.arrows:
-        blocks = [m.arrow_maps[a.name] for m in mods]
-        mats = []
-        for v in ctx.base.quiver.vertices:
-            mats.append(FpMatrix.block_diag(ctx.p, [b.mat(v) for b in blocks]))
-        maps[a.name] = Hom(sums[a.source - 1].module, sums[a.target - 1].module, tuple(mats), check=False)
-    total = LayeredModule(ctx, branches, maps, check=False)
-    incls, projs = [], []
-    for t in range(len(mods)):
-        incls.append(LayeredHom(mods[t], total, tuple(sums[i - 1].inclusions[t] for i in ctx.factor.quiver.vertices), check=False))
-        projs.append(LayeredHom(total, mods[t], tuple(sums[i - 1].projections[t] for i in ctx.factor.quiver.vertices), check=False))
-    return LayeredDirectSum(total, tuple(incls), tuple(projs))
-
-
-def _layered_submodule(x: LayeredModule, spaces: list[list[Subspace]]) -> LayeredKernelPair:
-    ctx = x.context
-    subs = [
-        bqa._submodule_from_subspaces(x.branch(i), spaces[i - 1])
-        for i in ctx.factor.quiver.vertices
-    ]
-    branches = tuple(s.module for s in subs)
-    maps = {}
-    for a in ctx.factor.quiver.arrows:
-        incl_s, incl_e = subs[a.source - 1].inclusion, subs[a.target - 1].inclusion
-        maps[a.name] = bqa.factor_through_mono(incl_e, x.arrow_maps[a.name] @ incl_s)
-    sub = LayeredModule(ctx, branches, maps, check=False)
-    incl = LayeredHom(sub, x, tuple(s.inclusion for s in subs), check=False)
-    return LayeredKernelPair(sub, incl)
+def layered_radical_subspaces(x: LayeredModule) -> list[list[Subspace]]:
+    """``bqa.radical_subspaces`` indexed [factor vertex - 1][base vertex - 1]."""
+    rads = bqa.radical_subspaces(x)
+    n = x.context.base.quiver.n
+    return [rads[k : k + n] for k in range(0, len(rads), n)]
 
 
 # -- branch functors ----------------------------------------------------------
@@ -604,18 +480,6 @@ def tensor(ctx: TensorContext, m: Module, u: Module) -> LayeredModule:
             parts.append(u.mats[a.name].kron(FpMatrix.identity(ctx.p, m.dim(v))))
         maps[a.name] = Hom(branches[a.source - 1], branches[a.target - 1], tuple(parts), check=False)
     return LayeredModule(ctx, tuple(branches), maps, check=False)
-
-
-def tensor_hom(ctx: TensorContext, x: LayeredModule, y: LayeredModule, f: Hom, g: Hom) -> LayeredHom:
-    """The hom f (x) g : x -> y between tensor modules x = src(f)(x)src(g)
-    and y = tgt(f)(x)tgt(g), in the tensor layout."""
-    parts = []
-    for i in ctx.factor.quiver.vertices:
-        mats = []
-        for v in ctx.base.quiver.vertices:
-            mats.append(g.mat(i).kron(f.mat(v)))
-        parts.append(Hom(x.branch(i), y.branch(i), tuple(mats), check=False))
-    return LayeredHom(x, y, tuple(parts), check=False)
 
 
 # -- coefficient classes and membership checks --------------------------------
@@ -799,393 +663,6 @@ def check_separated_epic(x: LayeredModule, pred: ClassPredicate) -> CheckResult:
     return CheckResult(True)
 
 
-# -- layered projectives, covers, resolutions ---------------------------------
-
-
-def layered_radical_subspaces(x: LayeredModule) -> list[list[Subspace]]:
-    """Per (branch, base vertex): branch radical plus incoming arrow images."""
-    ctx = x.context
-    out = []
-    for i in ctx.factor.quiver.vertices:
-        per_vertex = bqa.radical_subspaces(x.branch(i))
-        for a in ctx.factor.quiver.arrows_into(i):
-            for v in ctx.base.quiver.vertices:
-                per_vertex[v - 1] = Subspace.sum_of(
-                    [per_vertex[v - 1], column_space(x.arrow_maps[a.name].mat(v))]
-                )
-        out.append(per_vertex)
-    return out
-
-
-def layered_radical(x: LayeredModule) -> LayeredKernelPair:
-    return _layered_submodule(x, layered_radical_subspaces(x))
-
-
-def layered_top(x: LayeredModule) -> LayeredCokernelPair:
-    return layered_cokernel(layered_radical(x).inclusion)
-
-
-class FormalLayeredProjective:
-    """A direct sum of tensor generators P_A(v) (x) P(i), as a pair list.
-
-    The realized module's fiber at (branch j, base vertex w) is ordered by
-    (copy, factor path, base path); the copy generator sits at the pair of
-    trivial paths.
-    """
-
-    def __init__(self, ctx: TensorContext, pairs: tuple[tuple[int, int], ...]):
-        self.ctx = ctx
-        self.pairs = tuple((int(v), int(i)) for v, i in pairs)
-        self._fibers: dict[tuple[int, int], list[tuple[int, Path, Path]]] = {}
-        self._index: dict[tuple[int, int], dict[tuple[int, Path, Path], int]] = {}
-        for j in ctx.factor.quiver.vertices:
-            for w in ctx.base.quiver.vertices:
-                fiber = [
-                    (t, fp, bp)
-                    for t, (v, i) in enumerate(self.pairs)
-                    for fp in ctx.factor.paths_between(i, j)
-                    for bp in ctx.base.paths_between(v, w)
-                ]
-                self._fibers[(j, w)] = fiber
-                self._index[(j, w)] = {key: pos for pos, key in enumerate(fiber)}
-        self._module: LayeredModule | None = None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.pairs
-
-    def fiber(self, j: int, w: int) -> list[tuple[int, Path, Path]]:
-        return self._fibers[(j, w)]
-
-    def generator_position(self, t: int) -> tuple[int, int, int]:
-        """(branch, base vertex, fiber index) of copy t's generator."""
-        v, i = self.pairs[t]
-        key = (t, self.ctx.factor.quiver.trivial_path(i), self.ctx.base.quiver.trivial_path(v))
-        return i, v, self._index[(i, v)][key]
-
-    @property
-    def module(self) -> LayeredModule:
-        if self._module is None:
-            ctx = self.ctx
-            branches = []
-            for j in ctx.factor.quiver.vertices:
-                dims = tuple(len(self._fibers[(j, w)]) for w in ctx.base.quiver.vertices)
-                mats = {}
-                for a in ctx.base.quiver.arrows:
-                    mat = np.zeros((dims[a.target - 1], dims[a.source - 1]), dtype=np.int64)
-                    for col, (t, fp, bp) in enumerate(self._fibers[(j, a.source)]):
-                        seq = bp.arrows + (a.name,)
-                        if ctx.base.ideal.kills_extension(seq):
-                            continue
-                        longer = Path(bp.source, a.target, seq)
-                        mat[self._index[(j, a.target)][(t, fp, longer)], col] = 1
-                    mats[a.name] = FpMatrix(ctx.p, mat)
-                branches.append(Module(ctx.base, dims, mats))
-            maps = {}
-            for a in ctx.factor.quiver.arrows:
-                parts = []
-                for w in ctx.base.quiver.vertices:
-                    src_fiber = self._fibers[(a.source, w)]
-                    tgt_index = self._index[(a.target, w)]
-                    mat = np.zeros((len(self._fibers[(a.target, w)]), len(src_fiber)), dtype=np.int64)
-                    for col, (t, fp, bp) in enumerate(src_fiber):
-                        seq = fp.arrows + (a.name,)
-                        if ctx.factor.ideal.kills_extension(seq):
-                            continue
-                        longer = Path(fp.source, a.target, seq)
-                        mat[tgt_index[(t, longer, bp)], col] = 1
-                    parts.append(FpMatrix(ctx.p, mat))
-                maps[a.name] = Hom(branches[a.source - 1], branches[a.target - 1], tuple(parts), check=False)
-            self._module = LayeredModule(ctx, tuple(branches), maps, check=False)
-        return self._module
-
-
-@dataclass(frozen=True)
-class LayeredCover:
-    formal: FormalLayeredProjective
-    epi: LayeredHom
-
-
-def layered_projective_cover(x: LayeredModule, pad_pair: tuple[int, int] | None = None) -> LayeredCover:
-    """Minimal cover by a sum of tensor generators matching the layered top."""
-    ctx = x.context
-    rads = layered_radical_subspaces(x)
-    pairs: list[tuple[int, int]] = []
-    lifts: list[np.ndarray] = []
-    for i in ctx.factor.quiver.vertices:
-        for v in ctx.base.quiver.vertices:
-            _, sec = rads[i - 1][v - 1].quotient_maps()
-            for col in range(sec.cols):
-                pairs.append((v, i))
-                lifts.append(sec.data[:, col])
-    if pad_pair is not None:
-        pairs.append(pad_pair)
-        lifts.append(np.zeros(x.branch(pad_pair[1]).dim(pad_pair[0]), dtype=np.int64))
-    formal = FormalLayeredProjective(ctx, tuple(pairs))
-    proj = formal.module
-    parts = []
-    for j in ctx.factor.quiver.vertices:
-        mats = []
-        for w in ctx.base.quiver.vertices:
-            mat = np.zeros((x.branch(j).dim(w), proj.branch(j).dim(w)), dtype=np.int64)
-            for col, (t, fp, bp) in enumerate(formal.fiber(j, w)):
-                v, i = formal.pairs[t]
-                moved = x.path_hom(fp).mat(v).apply(lifts[t])
-                mat[:, col] = x.branch(j).path_matrix(bp).apply(moved)
-            mats.append(FpMatrix(ctx.p, mat))
-        parts.append(Hom(proj.branch(j), x.branch(j), tuple(mats)))
-    epi = LayeredHom(proj, x, tuple(parts))
-    for j in ctx.factor.quiver.vertices:
-        for w in ctx.base.quiver.vertices:
-            if epi.part(j).mat(w).rank() != x.branch(j).dim(w):
-                raise RuntimeError("layered cover failed to surject (engine invariant)")
-    return LayeredCover(formal, epi)
-
-
-def layered_syzygy(x: LayeredModule) -> LayeredModule:
-    return layered_kernel(layered_projective_cover(x).epi).module
-
-
-@dataclass
-class LayeredResolution:
-    module: LayeredModule
-    formals: list[FormalLayeredProjective]
-    diffs: list[LayeredHom]
-    augmentation: LayeredHom
-
-    def formal(self, i: int) -> FormalLayeredProjective | None:
-        return self.formals[i] if i < len(self.formals) else None
-
-
-def layered_resolve(x: LayeredModule, length: int, pad_pair: tuple[int, int] | None = None) -> LayeredResolution:
-    cover = layered_projective_cover(x, pad_pair=pad_pair)
-    formals = [cover.formal]
-    diffs: list[LayeredHom] = []
-    current = cover
-    aug = cover.epi
-    for _ in range(length):
-        ker, incl = layered_kernel(current.epi)
-        if ker.is_zero():
-            break
-        current = layered_projective_cover(ker)
-        formals.append(current.formal)
-        diffs.append(incl @ current.epi)
-    return LayeredResolution(x, formals, diffs, aug)
-
-
-def _precompose_matrix(
-    src: FormalLayeredProjective,
-    tgt: FormalLayeredProjective,
-    h: LayeredHom,
-    coeff: LayeredModule,
-) -> np.ndarray:
-    """Matrix of (- o h): Hom(tgt.module, coeff) -> Hom(src.module, coeff)
-    in generator-image coordinates Hom(P_A(v)(x)P(i), Y) = Y_i at v."""
-    ctx = coeff.context
-    p = ctx.p
-    row_sizes = [coeff.branch(i).dim(v) for (v, i) in src.pairs]
-    col_sizes = [coeff.branch(i).dim(v) for (v, i) in tgt.pairs]
-    row_offs = np.concatenate([[0], np.cumsum(row_sizes, dtype=np.int64)])
-    col_offs = np.concatenate([[0], np.cumsum(col_sizes, dtype=np.int64)])
-    delta = np.zeros((int(row_offs[-1]), int(col_offs[-1])), dtype=np.int64)
-    for s in range(len(src.pairs)):
-        v_s, i_s = src.pairs[s]
-        branch, vert, pos = src.generator_position(s)
-        col = h.part(branch).mat(vert).data[:, pos]
-        for k, (t, fp, bp) in enumerate(tgt.fiber(branch, vert)):
-            c = int(col[k])
-            if c == 0:
-                continue
-            v_t, i_t = tgt.pairs[t]
-            move_branch = coeff.path_hom(fp).mat(v_t).data
-            move_vertex = coeff.branch(i_s).path_matrix(bp).data
-            block = (move_vertex @ move_branch) % p
-            delta[row_offs[s] : row_offs[s + 1], col_offs[t] : col_offs[t + 1]] = (
-                delta[row_offs[s] : row_offs[s + 1], col_offs[t] : col_offs[t + 1]] + c * block
-            ) % p
-    return delta
-
-
-def _layered_complex(res: LayeredResolution, coeff: LayeredModule, kmax: int):
-    """Hom-complex dimensions and differential matrices against ``coeff``."""
-    cdims, deltas = [], []
-    for step in range(kmax + 2):
-        f = res.formal(step)
-        cdims.append(0 if f is None else sum(coeff.branch(i).dim(v) for (v, i) in f.pairs))
-    for step in range(kmax + 1):
-        low, high = res.formal(step), res.formal(step + 1)
-        if low is None or high is None:
-            deltas.append(np.zeros((cdims[step + 1], cdims[step]), dtype=np.int64))
-            continue
-        deltas.append(_precompose_matrix(high, low, res.diffs[step], coeff))
-    return cdims, deltas
-
-
-def layered_ext_dims(
-    x: LayeredModule, y: LayeredModule, kmax: int, resolution: LayeredResolution | None = None
-) -> list[int]:
-    """dim Ext^k over the tensor algebra for k = 0..kmax."""
-    if x.context is not y.context:
-        raise ValueError("Ext across contexts")
-    res = resolution if resolution is not None else layered_resolve(x, kmax + 1)
-    cdims, deltas = _layered_complex(res, y, kmax)
-    ranks = [FpMatrix(x.context.p, d).rank() for d in deltas]
-    out = []
-    for k in range(kmax + 1):
-        below = ranks[k - 1] if k else 0
-        out.append(cdims[k] - ranks[k] - below)
-    return out
-
-
-def layered_ext_dim(x: LayeredModule, y: LayeredModule, k: int) -> int:
-    return layered_ext_dims(x, y, k)[k]
-
-
-def layered_pd_up_to(x: LayeredModule, bound: int) -> int | None:
-    res = layered_resolve(x, bound + 1)
-    for k in range(bound + 1):
-        f = res.formal(k + 1)
-        if f is None or f.is_zero:
-            return k
-    return None
-
-
-# -- duality -------------------------------------------------------------------
-
-
-def dual_layered(x: LayeredModule) -> LayeredModule:
-    """Vector-space dual over the opposite context; branch labels are kept."""
-    opp = x.context.opposite()
-    branches = tuple(bqa.dual_module(b) for b in x.branches)
-    maps = {}
-    for a in x.context.factor.quiver.arrows:
-        maps[a.name] = bqa.dual_hom(x.arrow_maps[a.name])
-    return LayeredModule(opp, branches, maps, check=False)
-
-
-# -- star, evaluation, certificates ---------------------------------------------
-
-
-def _layered_star_with_bases(
-    x: LayeredModule,
-) -> tuple[LayeredModule, dict[tuple[int, int], LayeredHomBasis]]:
-    """Hom(x, tensor algebra) over the opposite context, with hom bases per
-    (base vertex, factor vertex) generator."""
-    ctx = x.context
-    opp = ctx.opposite()
-    bases = {
-        (v, i): layered_hom_space(x, ctx.generator(v, i))
-        for i in ctx.factor.quiver.vertices
-        for v in ctx.base.quiver.vertices
-    }
-    branches = []
-    for i in ctx.factor.quiver.vertices:
-        dims = tuple(bases[(v, i)].dim for v in ctx.base.quiver.vertices)
-        mats = {}
-        for a in ctx.base.quiver.arrows:
-            rho = ctx.base.right_multiplication(a.name)
-            gen_t = ctx.generator(a.target, i)
-            gen_s = ctx.generator(a.source, i)
-            move = tensor_hom(ctx, gen_t, gen_s, rho, bqa.identity_hom(ctx.factor.projective(i)))
-            mat = np.zeros((bases[(a.source, i)].dim, bases[(a.target, i)].dim), dtype=np.int64)
-            for jcol, g in enumerate(bases[(a.target, i)].homs()):
-                mat[:, jcol] = bases[(a.source, i)].coords(move @ g)
-            mats[a.name] = FpMatrix(ctx.p, mat)
-        branches.append(Module(opp.base, dims, mats))
-    maps = {}
-    for a in ctx.factor.quiver.arrows:
-        parts = []
-        for v in ctx.base.quiver.vertices:
-            rho = ctx.factor.right_multiplication(a.name)
-            gen_t = ctx.generator(v, a.target)
-            gen_s = ctx.generator(v, a.source)
-            move = tensor_hom(ctx, gen_t, gen_s, bqa.identity_hom(ctx.base.projective(v)), rho)
-            mat = np.zeros((bases[(v, a.source)].dim, bases[(v, a.target)].dim), dtype=np.int64)
-            for jcol, g in enumerate(bases[(v, a.target)].homs()):
-                mat[:, jcol] = bases[(v, a.source)].coords(move @ g)
-            parts.append(FpMatrix(ctx.p, mat))
-        maps[a.name] = Hom(branches[a.target - 1], branches[a.source - 1], tuple(parts), check=False)
-    star = LayeredModule(opp, tuple(branches), maps, check=False)
-    return star, bases
-
-
-def layered_star(x: LayeredModule) -> LayeredModule:
-    return _layered_star_with_bases(x)[0]
-
-
-def _layered_evaluation_against(
-    x: LayeredModule,
-    star1: LayeredModule,
-    bases1: dict[tuple[int, int], LayeredHomBasis],
-    star2: LayeredModule,
-    bases2: dict[tuple[int, int], LayeredHomBasis],
-) -> LayeredHom:
-    ctx = x.context
-    opp = ctx.opposite()
-    p = ctx.p
-    parts = []
-    for i in ctx.factor.quiver.vertices:
-        mats = []
-        for v in ctx.base.quiver.vertices:
-            ev = np.zeros((star2.branch(i).dim(v), x.branch(i).dim(v)), dtype=np.int64)
-            opgen = opp.generator(v, i)
-            for k in range(x.branch(i).dim(v)):
-                blocks = []
-                for j in opp.factor.quiver.vertices:
-                    op_fpaths = opp.factor.paths_between(i, j)
-                    fp_index = {q.arrows: t for t, q in enumerate(op_fpaths)}
-                    for w in opp.base.quiver.vertices:
-                        op_bpaths = opp.base.paths_between(v, w)
-                        bp_index = {q.arrows: t for t, q in enumerate(op_bpaths)}
-                        block = np.zeros((opgen.branch(j).dim(w), star1.branch(j).dim(w)), dtype=np.int64)
-                        fwd_f = ctx.factor.paths_between(j, i)
-                        fwd_b = ctx.base.paths_between(w, v)
-                        for col, g in enumerate(bases1[(w, j)].homs()):
-                            val = g.part(i).mat(v).data[:, k]
-                            for fi, fp in enumerate(fwd_f):
-                                for bi, bp in enumerate(fwd_b):
-                                    t_f = fp_index[tuple(reversed(fp.arrows))]
-                                    t_b = bp_index[tuple(reversed(bp.arrows))]
-                                    row = t_f * len(op_bpaths) + t_b
-                                    block[row, col] = val[fi * len(fwd_b) + bi]
-                        blocks.append(block.reshape(-1))
-                ev[:, k] = bases2[(v, i)].space.coords(np.concatenate(blocks) % p)
-            mats.append(FpMatrix(p, ev))
-        parts.append(Hom(x.branch(i), star2.branch(i), tuple(mats)))
-    return LayeredHom(x, star2, tuple(parts))
-
-
-def layered_evaluation_map(x: LayeredModule) -> LayeredHom:
-    star1, b1 = _layered_star_with_bases(x)
-    star2, b2 = _layered_star_with_bases(star1)
-    return _layered_evaluation_against(x, star1, b1, star2, b2)
-
-
-def layered_semi_gp_cert(x: LayeredModule, bound: int) -> Certificate:
-    """Ext vanishing against the tensor algebra up to the bound."""
-    dims = layered_ext_dims(x, x.context.regular(), bound)
-    for i in range(1, bound + 1):
-        if dims[i]:
-            return Certificate("REFUTED", bound, f"layered ext^{i}(X, algebra) = {dims[i]}", i)
-    return Certificate("CERTIFIED_UP_TO", bound)
-
-
-def layered_gp_cert(x: LayeredModule, bound: int) -> Certificate:
-    """Bounded totally-reflexive test in the layered category."""
-    first = layered_semi_gp_cert(x, bound)
-    if first.refuted:
-        return first
-    star1, b1 = _layered_star_with_bases(x)
-    second = layered_semi_gp_cert(star1, bound)
-    if second.refuted:
-        return Certificate("REFUTED", bound, "star side: " + second.reason, second.degree)
-    star2, b2 = _layered_star_with_bases(star1)
-    ev = _layered_evaluation_against(x, star1, b1, star2, b2)
-    if not ev.is_bijective():
-        return Certificate("REFUTED", bound, "layered evaluation map is not bijective")
-    return Certificate("CERTIFIED_UP_TO", bound)
-
-
 # -- the two adjunction identities ----------------------------------------------
 
 
@@ -1218,8 +695,8 @@ def adjunction_check(x: LayeredModule, m: Module, i: int, k: int) -> AdjunctionR
         raise SmonRequired("the Ext-level cokernel identity needs a separated monic module")
     coker = branch_cokernel(x, i).module
     lhs1 = bqa.ext_dims(coker, m, k)[k]
-    rhs1 = layered_ext_dims(x, tensor(ctx, m, ctx.factor.simple(i)), k)[k]
-    lhs2 = layered_ext_dims(tensor(ctx, m, ctx.factor.projective(i)), x, k)[k]
+    rhs1 = bqa.ext_dims(x, tensor(ctx, m, ctx.factor.simple(i)), k)[k]
+    lhs2 = bqa.ext_dims(tensor(ctx, m, ctx.factor.projective(i)), x, k)[k]
     rhs2 = bqa.ext_dims(m, x.branch(i), k)[k]
     return AdjunctionReport((lhs1, rhs1), (lhs2, rhs2))
 
@@ -1347,53 +824,19 @@ def assemble(t: Triple) -> LayeredModule:
 # -- the triple conditions for semi-Gorenstein-projectivity ----------------------
 
 
-def layered_lift_through_epi(epi: LayeredHom, g: LayeredHom) -> LayeredHom:
-    """Some layered hom u with epi . u = g (g's source projective)."""
-    src, mid = g.source, epi.source
-    ctx = src.context
-    p = ctx.p
-    nat = _layered_naturality_rows(src, mid)
-    offs, total = _layered_offsets(src, mid)
-    comp_blocks, rhs = [], []
-    for i in ctx.factor.quiver.vertices:
-        for v in ctx.base.quiver.vertices:
-            rows = g.target.branch(i).dim(v) * src.branch(i).dim(v)
-            if rows == 0:
-                continue
-            block = np.zeros((rows, total), dtype=np.int64)
-            slot = offs[_block_slot(ctx, i, v)]
-            width = mid.branch(i).dim(v) * src.branch(i).dim(v)
-            block[:, slot : slot + width] = np.kron(
-                epi.part(i).mat(v).data, np.eye(src.branch(i).dim(v), dtype=np.int64)
-            )
-            comp_blocks.append(block)
-            rhs.append(g.part(i).mat(v).data.reshape(-1))
-    if comp_blocks:
-        system = np.concatenate([nat] + comp_blocks, axis=0) % p
-        target_vec = np.concatenate([np.zeros(nat.shape[0], dtype=np.int64)] + rhs)
-    else:
-        system = nat
-        target_vec = np.zeros(nat.shape[0], dtype=np.int64)
-    sol = solve(FpMatrix(p, system), target_vec)
-    if sol is None:
-        raise ValueError("map does not lift through the layered epimorphism")
-    basis = LayeredHomBasis(src, mid, Subspace.full(p, total))
-    return basis.from_vector(sol)
-
-
-def layered_chain_map(
-    phi: LayeredHom,
-    res_src: LayeredResolution,
-    res_tgt: LayeredResolution,
+def _chain_map(
+    phi: Hom,
+    res_src: bqa.Resolution,
+    res_tgt: bqa.Resolution,
     length: int,
-) -> list[LayeredHom | None]:
+) -> list[Hom | None]:
     """A chain map over phi between minimal resolutions, step by step.
 
     Entry i is None when either resolution has already stopped; the zero
     map is then the (unique) compatible choice.
     """
-    maps: list[LayeredHom | None] = []
-    prev: LayeredHom | None = None
+    maps: list[Hom | None] = []
+    prev: Hom | None = None
     for i in range(length + 1):
         sf, tf = res_src.formal(i), res_tgt.formal(i)
         if sf is None or sf.is_zero or tf is None or tf.is_zero:
@@ -1401,7 +844,7 @@ def layered_chain_map(
             prev = None
             continue
         if i == 0:
-            f0 = layered_lift_through_epi(res_tgt.augmentation, phi @ res_src.augmentation)
+            f0 = bqa.lift_through_epi(res_tgt.augmentation, phi @ res_src.augmentation)
             maps.append(f0)
             prev = f0
             continue
@@ -1409,19 +852,12 @@ def layered_chain_map(
             maps.append(None)
             continue
         rhs = prev @ res_src.diffs[i - 1]
-        img = layered_image(res_tgt.diffs[i - 1])
-        u = _layered_factor_through_mono(img.inclusion, rhs)
-        fi = layered_lift_through_epi(img.corestriction, u)
+        img = bqa.image(res_tgt.diffs[i - 1])
+        u = bqa.factor_through_mono(img.inclusion, rhs)
+        fi = bqa.lift_through_epi(img.corestriction, u)
         maps.append(fi)
         prev = fi
     return maps
-
-
-def _layered_factor_through_mono(mono: LayeredHom, g: LayeredHom) -> LayeredHom:
-    parts = tuple(
-        bqa.factor_through_mono(mono.parts[k], g.parts[k]) for k in range(len(mono.parts))
-    )
-    return LayeredHom(g.source, mono.source, parts, check=False)
 
 
 @dataclass(frozen=True)
@@ -1451,27 +887,15 @@ class TripleReport:
         return "; ".join(bits)
 
 
-def _phi_star_is_epi(t: Triple) -> bool:
-    reg = t.reduced.regular()
-    hb_x = layered_hom_space(t.x_part, reg)
-    hb_my = layered_hom_space(t.phi.source, reg)
-    if hb_my.dim == 0:
-        return True
-    cols = np.zeros((hb_my.space.ambient, hb_x.dim), dtype=np.int64)
-    for j, g in enumerate(hb_x.homs()):
-        cols[:, j] = _layered_vec(g @ t.phi)
-    return FpMatrix(t.reduced.p, cols).rank() == hb_my.dim
-
-
 def _ext_iso_failure(t: Triple, bound: int) -> int | None:
     """First degree in 1..bound where Ext^i(phi, algebra) fails to be bijective."""
-    reg = t.reduced.regular()
+    reg = t.reduced.regular_module()
     p = t.reduced.p
-    res_my = layered_resolve(t.phi.source, bound + 1)
-    res_x = layered_resolve(t.x_part, bound + 1)
-    chain = layered_chain_map(t.phi, res_my, res_x, bound + 1)
-    cd_x, dx = _layered_complex(res_x, reg, bound)
-    cd_my, dmy = _layered_complex(res_my, reg, bound)
+    res_my = bqa.resolve(t.phi.source, bound + 1)
+    res_x = bqa.resolve(t.x_part, bound + 1)
+    chain = _chain_map(t.phi, res_my, res_x, bound + 1)
+    _, dx = bqa.hom_complex(res_x, reg, bound)
+    _, dmy = bqa.hom_complex(res_my, reg, bound)
     for k in range(1, bound + 1):
         z_x = null_space(FpMatrix(p, dx[k]))
         b_x = column_space(FpMatrix(p, dx[k - 1]))
@@ -1483,11 +907,10 @@ def _ext_iso_failure(t: Triple, bound: int) -> int | None:
             return k
         if h_x.dim == 0:
             continue
-        sf, tf = res_my.formal(k), res_x.formal(k)
         fk = chain[k]
         if fk is None:
             return k  # nonzero cohomology but a vanished resolution step
-        fmat = _precompose_matrix(sf, tf, fk, reg)
+        fmat = bqa.precompose_matrix(res_my.formal(k), res_x.formal(k), fk, reg)
         induced = np.zeros((h_my.dim, h_x.dim), dtype=np.int64)
         for col, rep in enumerate(h_x.reps):
             induced[:, col] = h_my.coords((fmat @ rep) % p)
@@ -1500,11 +923,11 @@ def triple_conditions(t: Triple, bound: int) -> TripleReport:
     """Evaluate the three triple conditions and compare them with the
     direct layered semi-Gorenstein-projective certificate of the
     assembled module."""
-    phi_epi = _phi_star_is_epi(t)
+    phi_epi = bqa.is_left_projective_approximation(t.phi)
     ext_fail = _ext_iso_failure(t, bound)
     y_perp = bqa.semi_gp_cert(t.y_part, bound)
     predicted = phi_epi and ext_fail is None and y_perp.certified
-    direct = layered_semi_gp_cert(assemble(t), bound)
+    direct = bqa.semi_gp_cert(assemble(t), bound)
     return TripleReport(phi_epi, ext_fail, y_perp, predicted, direct, bound)
 
 
@@ -1646,57 +1069,6 @@ def extension_module(sub: LayeredModule, quo: LayeredModule, cocycle: np.ndarray
     return LayeredModule(ctx, branches, maps)
 
 
-def layered_submodule_generated(
-    x: LayeredModule, seeds: list[tuple[int, int, np.ndarray]]
-) -> LayeredKernelPair:
-    """Smallest subrepresentation containing vectors given as (branch, vertex, coords)."""
-    ctx = x.context
-    p = ctx.p
-    spans: dict[tuple[int, int], list[np.ndarray]] = {}
-    for i, v, vec in seeds:
-        spans.setdefault((i, v), []).append(np.mod(np.asarray(vec, dtype=np.int64), p))
-    spaces = [
-        [
-            Subspace.from_spanning(
-                p, x.branch(i).dim(v), rows_array(spans.get((i, v), []), x.branch(i).dim(v))
-            )
-            for v in ctx.base.quiver.vertices
-        ]
-        for i in ctx.factor.quiver.vertices
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for i in ctx.factor.quiver.vertices:
-            for a in ctx.base.quiver.arrows:
-                src = spaces[i - 1][a.source - 1]
-                if src.dim == 0:
-                    continue
-                moved = (x.branch(i).mats[a.name].data @ src.basis.data.T).T
-                bigger = Subspace.sum_of(
-                    [spaces[i - 1][a.target - 1], Subspace.from_spanning(p, x.branch(i).dim(a.target), moved)]
-                )
-                if bigger.dim != spaces[i - 1][a.target - 1].dim:
-                    spaces[i - 1][a.target - 1] = bigger
-                    changed = True
-        for a in ctx.factor.quiver.arrows:
-            for v in ctx.base.quiver.vertices:
-                src = spaces[a.source - 1][v - 1]
-                if src.dim == 0:
-                    continue
-                moved = (x.arrow_maps[a.name].mat(v).data @ src.basis.data.T).T
-                bigger = Subspace.sum_of(
-                    [
-                        spaces[a.target - 1][v - 1],
-                        Subspace.from_spanning(p, x.branch(a.target).dim(v), moved),
-                    ]
-                )
-                if bigger.dim != spaces[a.target - 1][v - 1].dim:
-                    spaces[a.target - 1][v - 1] = bigger
-                    changed = True
-    return _layered_submodule(x, spaces)
-
-
 def random_layered(ctx: TensorContext, budget: int, seed: int) -> LayeredModule:
     """A random quotient of a random sum of tensor generators by a
     subrepresentation generated by random radical vectors."""
@@ -1708,18 +1080,18 @@ def random_layered(ctx: TensorContext, budget: int, seed: int) -> LayeredModule:
         (int(rng.integers(1, ctx.base.quiver.n + 1)), int(rng.integers(1, ctx.factor.quiver.n + 1)))
         for _ in range(count)
     )
-    proj = FormalLayeredProjective(ctx, tuple(pairs)).module
-    rads = layered_radical_subspaces(proj)
-    seeds: list[tuple[int, int, np.ndarray]] = []
+    proj = bqa.FormalProjective(ctx, tuple(ctx.point(i, v) for v, i in pairs)).module
+    rads = bqa.radical_subspaces(proj)
+    seeds: list[tuple[int, np.ndarray]] = []
     for _ in range(int(rng.integers(0, budget))):
         i = int(rng.integers(1, ctx.factor.quiver.n + 1))
         v = int(rng.integers(1, ctx.base.quiver.n + 1))
-        rad = rads[i - 1][v - 1]
+        rad = rads[ctx.point(i, v) - 1]
         if rad.dim == 0:
             continue
         coeffs = rng.integers(0, ctx.p, size=rad.dim)
-        seeds.append((i, v, (coeffs @ rad.basis.data) % ctx.p))
+        seeds.append((ctx.point(i, v), (coeffs @ rad.basis.data) % ctx.p))
     if not seeds:
         return proj
-    sub = layered_submodule_generated(proj, seeds)
-    return layered_cokernel(sub.inclusion).module
+    sub = bqa.submodule_generated(proj, seeds)
+    return bqa.cokernel(sub.inclusion).module

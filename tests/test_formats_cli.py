@@ -213,3 +213,35 @@ def test_cli_perp_predicate(workdir, chain3, ground_field):
     )
     assert proc.returncode == 2
     assert "base algebra" in proc.stderr
+
+
+MALFORMED = [
+    ["suite", "nakayama", "kron.alg"],
+    ["suite", "ce", "q3.alg", "a2.alg", "--only-instance", "-1"],
+    ["suite", "ce", "q3.alg", "a2.alg", "--samples", "4", "--only-instance", "4"],
+    ["suite", "ce", "q3.alg", "a2.alg", "--budget", "0"],
+    ["suite", "ce", "q3.alg", "a2.alg", "--samples", "-1"],
+    ["suite", "ce", "q3.alg", "a2.alg", "--bound", "-1"],
+    ["ext", "S3.mod", "S2.mod", "--k", "-1"],
+    ["gp", "S3.mod", "--bound", "-1"],
+    ["check", "p4.alg"],
+    ["--prime", "4", "check", "q3.alg"],
+    ["--prime", "1", "check", "q3.alg"],
+]
+
+
+@pytest.mark.parametrize("args", MALFORMED, ids=" ".join)
+def test_cli_malformed_input_is_a_usage_error(workdir, chain3, a2, args):
+    # every malformed input exits 2 with a single error line, never a traceback
+    tmp, files = workdir
+    (tmp / "a2.alg").write_text(formats.serialize_algebra(a2))
+    (tmp / "kron.alg").write_text(
+        "smonkit-algebra v1\nprime 2\nvertices 2\narrow u 2 1\narrow v 2 1\n"
+    )
+    (tmp / "p4.alg").write_text(files["q3"].read_text().replace("prime 2", "prime 4"))
+    (tmp / "S3.mod").write_text(formats.serialize_module(chain3.simple(3), "q3.alg"))
+    (tmp / "S2.mod").write_text(formats.serialize_module(chain3.simple(2), "q3.alg"))
+    proc = run_cli(args, tmp)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

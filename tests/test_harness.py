@@ -55,13 +55,6 @@ def test_only_instance_replays_one(ctx_dual_chain3):
     assert one.records[0].note == full.records[5].note
 
 
-def test_thread_pool_matches_serial(ctx_dual_chain3, monkeypatch):
-    serial = run_suite("ce", small_cfg(ctx_dual_chain3))
-    monkeypatch.setenv("SMONKIT_THREADS", "4")
-    threaded = run_suite("ce", small_cfg(ctx_dual_chain3))
-    assert serial.to_records() == threaded.to_records()
-
-
 def test_unknown_suite_rejected(ctx_dual_chain3):
     with pytest.raises(KeyError):
         run_suite("bogus", small_cfg(ctx_dual_chain3))
