@@ -780,32 +780,78 @@ def syzygy(m: Module) -> Module:
 
 @dataclass
 class Resolution:
-    """A projective resolution ... -> P_1 -> P_0 -> M -> 0 up to a length."""
+    """A minimal projective resolution ... -> P_1 -> P_0 -> M -> 0 up to a length.
+
+    ``formals[i]`` is P_i and ``diffs[i]`` the differential P_{i+1} -> P_i.
+    When ``loop_start`` = i is set, the syzygy Omega^j, j = len(formals),
+    equals Omega^i entry for entry; covers, kernels and differentials are
+    functions of module content, so the resolution never ends and repeats
+    with period L = j - i: P_{k+L} = P_k and diffs[k+L] = diffs[k] for
+    k >= i.  Only the prefix is stored (j differentials, the last one
+    P_j = P_i -> P_{j-1}); ``formal`` and ``diff`` fold later indices into
+    the loop.
+    """
 
     module: Module
     formals: list[FormalProjective]
     diffs: list[Hom]  # diffs[i]: P_{i+1}.module -> P_i.module
     augmentation: Hom
+    loop_start: int | None = None
+
+    def _fold(self, i: int, stored: int) -> int | None:
+        if i < stored:
+            return i
+        if self.loop_start is None:
+            return None
+        return self.loop_start + (i - self.loop_start) % (len(self.formals) - self.loop_start)
 
     def formal(self, i: int) -> FormalProjective | None:
-        return self.formals[i] if i < len(self.formals) else None
+        """P_i; None once a finite or truncated resolution has stopped."""
+        k = self._fold(i, len(self.formals))
+        return None if k is None else self.formals[k]
+
+    def diff(self, i: int) -> Hom | None:
+        """The differential P_{i+1} -> P_i; None once the resolution has stopped."""
+        k = self._fold(i, len(self.diffs))
+        return None if k is None else self.diffs[k]
+
+
+def _content(m: Module) -> tuple:
+    """A module's exact content: its dims and its arrow matrices in arrow order."""
+    return m.dims, tuple(m.mats[a.name].data.tobytes() for a in m.algebra.quiver.arrows)
 
 
 def resolve(m: Module, length: int, pad_vertex: int | None = None) -> Resolution:
-    """Minimal projective resolution out to P_length (padded first step on request)."""
+    """Minimal projective resolution out to P_length (padded first step on request).
+
+    Every syzygy covered so far is kept by content.  The first kernel equal
+    to one of them, Omega^j = Omega^i with i < j, closes the loop: the
+    resolution stops there with ``loop_start`` = i and repeats from P_i on.
+    M itself takes part only without ``pad_vertex``, since a padded first
+    cover is not the minimal one.
+    """
     cover = projective_cover(m, pad_vertex=pad_vertex)
     formals = [cover.formal]
     diffs: list[Hom] = []
-    epi = cover.epi
+    seen: dict[tuple, tuple[int, Cover]] = {}  # syzygy content -> (degree, its cover)
+    if pad_vertex is None:
+        seen[_content(m)] = (0, cover)
+    loop_start = None
     current = cover
-    for _ in range(length):
+    for step in range(1, length + 1):
         ker, incl = kernel(current.epi)
         if ker.is_zero():
             break
+        key = _content(ker)
+        if key in seen:
+            loop_start, current = seen[key]
+            diffs.append(incl @ current.epi)
+            break
         current = projective_cover(ker)
+        seen[key] = (step, current)
         formals.append(current.formal)
         diffs.append(incl @ current.epi)
-    return Resolution(m, formals, diffs, epi)
+    return Resolution(m, formals, diffs, cover.epi, loop_start)
 
 
 def precompose_matrix(high: FormalProjective, low: FormalProjective, d: Hom, n: Module) -> np.ndarray:
@@ -834,27 +880,38 @@ def precompose_matrix(high: FormalProjective, low: FormalProjective, d: Hom, n: 
 
 def hom_complex(res: Resolution, n: Module, kmax: int) -> tuple[list[int], list[np.ndarray]]:
     """Dimensions of Hom(P_i, n) for i <= kmax + 1 and the differentials
-    Hom(P_i, n) -> Hom(P_{i+1}, n) for i <= kmax."""
+    Hom(P_i, n) -> Hom(P_{i+1}, n) for i <= kmax.
+
+    Over a periodic resolution the degrees that fold onto one stored
+    differential share one matrix, built once.
+    """
     cdims = []
     for i in range(kmax + 2):
         f = res.formal(i)
         cdims.append(0 if f is None else sum(n.dim(v) for v in f.vertices))
+    built: dict[int, np.ndarray] = {}  # by identity of the stored differential
     deltas = []
     for i in range(kmax + 1):
-        if cdims[i] and cdims[i + 1]:
-            deltas.append(precompose_matrix(res.formal(i + 1), res.formal(i), res.diffs[i], n))
-        else:
+        if not (cdims[i] and cdims[i + 1]):
             deltas.append(np.zeros((cdims[i + 1], cdims[i]), dtype=np.int64))
+            continue
+        d = res.diff(i)
+        if id(d) not in built:
+            built[id(d)] = precompose_matrix(res.formal(i + 1), res.formal(i), d, n)
+        deltas.append(built[id(d)])
     return cdims, deltas
 
 
 def ext_dims(m: Module, n: Module, kmax: int, resolution: Resolution | None = None) -> list[int]:
-    """dim Ext^k(m, n) for k = 0..kmax, from one Hom complex."""
+    """dim Ext^k(m, n) for k = 0..kmax, from one Hom complex; each distinct
+    differential of the complex is ranked once."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("Ext between modules over different algebras")
     res = resolution if resolution is not None else resolve(m, kmax + 1)
     cdims, deltas = hom_complex(res, n, kmax)
-    ranks = [FpMatrix(n.algebra.p, d).rank() if d.size else 0 for d in deltas]
+    distinct = {id(d): d for d in deltas}  # hom_complex shares repeated matrices
+    rank_of = {key: FpMatrix(n.algebra.p, d).rank() if d.size else 0 for key, d in distinct.items()}
+    ranks = [rank_of[id(d)] for d in deltas]
     out = []
     for k in range(kmax + 1):
         below = ranks[k - 1] if k else 0
@@ -867,8 +924,13 @@ def ext_dim(m: Module, n: Module, k: int) -> int:
 
 
 def pd_up_to(m: Module, bound: int) -> int | None:
-    """Projective dimension if <= bound, else None (meaning MORE_THAN(bound))."""
+    """Projective dimension if <= bound, else None (meaning MORE_THAN(bound)).
+
+    A resolution that closes a loop never ends, so its pd is None whatever
+    the bound."""
     res = resolve(m, bound + 1)
+    if res.loop_start is not None:
+        return None
     for k in range(bound + 1):
         f = res.formal(k + 1)
         if f is None or f.is_zero:

@@ -69,6 +69,10 @@ class NotNakayama(ValueError):
     """The algebra's quiver is not a single cycle or a single line."""
 
 
+class NoSuchInstance(ValueError):
+    """``only_instance`` names no instance of the suite."""
+
+
 # -- stock algebras and contexts --------------------------------------------------
 
 
@@ -710,6 +714,12 @@ def suite_nakayama(cfg: SuiteConfig) -> SuiteReport:
         raise ValueError("nakayama suite needs an algebra")
     nak = as_nakayama(cfg.algebra)
     indecs = enumerate_indecomposables(nak)
+    only = cfg.only_instance
+    if only is not None and not 0 <= only < len(indecs):
+        raise NoSuchInstance(
+            f"only-instance {only} is not an instance: the algebra has "
+            f"{len(indecs)} indecomposables, numbered from 0"
+        )
     semis = [bqa.semi_gp_cert(m, cfg.bound) for _, _, m in indecs]
     fulls = [
         semi if semi.refuted else bqa.star_cert(m, cfg.bound)
@@ -718,16 +728,18 @@ def suite_nakayama(cfg: SuiteConfig) -> SuiteReport:
     core = core_summary(nak, indecs, fulls)
     records = []
     for idx, ((v, ell, m), semi, full) in enumerate(zip(indecs, semis, fulls)):
+        if only is not None and idx != only:
+            continue
         is_proj = ell == nak.kupisch[v - 1]
-        ok = True
         note = (
             f"vertex {v} length {ell}{' (projective)' if is_proj else ''}: "
             f"semi={semi.render()} gp={full.render()}"
         )
         if semi.certified and not full.certified:
-            ok = False
             note += " [semi-gp without gp: weakly-Gorenstein transfer violated]"
-        records.append(InstanceRecord(idx, ok, note))
+            records.append(InstanceRecord(idx, False, note, _replay_hint("nakayama", cfg, idx)))
+        else:
+            records.append(InstanceRecord(idx, True, note))
     ev_bound = min(cfg.bound, 30)
     left, right = evidence_non_gorenstein(cfg.algebra, ev_bound)
     report = SuiteReport("nakayama", cfg.echo(), records)

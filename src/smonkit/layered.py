@@ -851,8 +851,8 @@ def _chain_map(
         if prev is None:
             maps.append(None)
             continue
-        rhs = prev @ res_src.diffs[i - 1]
-        img = bqa.image(res_tgt.diffs[i - 1])
+        rhs = prev @ res_src.diff(i - 1)
+        img = bqa.image(res_tgt.diff(i - 1))
         u = bqa.factor_through_mono(img.inclusion, rhs)
         fi = bqa.lift_through_epi(img.corestriction, u)
         maps.append(fi)

@@ -194,6 +194,20 @@ def test_cli_suite_nakayama_quick(workdir, dual_numbers):
     assert "core-size: 2" in proc.stdout
 
 
+def test_cli_suite_nakayama_only_instance(workdir):
+    tmp, files = workdir
+    base = ["suite", "nakayama", str(files["kx2"]), "--bound", "6", "--no-timing"]
+    proc = run_cli(base + ["--only-instance", "1"], tmp)
+    assert proc.returncode == 0, proc.stderr
+    assert "only-instance=1" in proc.stdout and "instances: 1 pass: 1" in proc.stdout
+    proc = run_cli(base + ["--only-instance", "1", "--format", "records"], tmp)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[:2] for line in proc.stdout.splitlines()] == [["nakayama", "1"]]
+    # the instances are the indecomposables, whatever --samples says
+    proc = run_cli(base + ["--samples", "1", "--only-instance", "1"], tmp)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_perp_predicate(workdir, chain3, ground_field):
     tmp, files = workdir
     ctx = layered.TensorContext(ground_field, chain3)
@@ -217,6 +231,8 @@ def test_cli_perp_predicate(workdir, chain3, ground_field):
 
 MALFORMED = [
     ["suite", "nakayama", "kron.alg"],
+    ["suite", "nakayama", "kx2.alg", "--only-instance", "2"],
+    ["suite", "nakayama", "kx2.alg", "--only-instance", "-1"],
     ["suite", "ce", "q3.alg", "a2.alg", "--only-instance", "-1"],
     ["suite", "ce", "q3.alg", "a2.alg", "--samples", "4", "--only-instance", "4"],
     ["suite", "ce", "q3.alg", "a2.alg", "--budget", "0"],

@@ -28,6 +28,11 @@ def _reports():
             yield harness.run_suite(name, cfg)
     cfg = harness.SuiteConfig(algebra=harness.nakayama_17_18_18(), bound=12)
     yield harness.run_suite("nakayama", cfg)
+    # the headline run, as scripts/run_nakayama.py makes it
+    cfg = harness.SuiteConfig(
+        algebra=harness.nakayama_17_18_18(), bound=60, context_label="kupisch-17-18-18"
+    )
+    yield harness.run_suite("nakayama", cfg)
 
 
 def render() -> str:

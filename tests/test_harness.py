@@ -157,6 +157,31 @@ def test_nakayama_suite_small(dual_numbers):
     assert "kupisch: (2,)" in text and "core-size: 2" in text
 
 
+def test_nakayama_suite_only_instance(dual_numbers):
+    full = run_suite("nakayama", SuiteConfig(algebra=dual_numbers, bound=6))
+    one = run_suite("nakayama", SuiteConfig(algebra=dual_numbers, bound=6, only_instance=1))
+    assert [r.index for r in one.records] == [1]
+    assert one.records[0] == full.records[1]
+    # the summary lines are the whole algebra's, as in the full run
+    assert one.extra == full.extra
+    with pytest.raises(harness.NoSuchInstance):
+        run_suite("nakayama", SuiteConfig(algebra=dual_numbers, bound=6, only_instance=2))
+
+
+def test_nakayama_failures_carry_replay_hint(dual_numbers, monkeypatch):
+    # the stock algebras never violate the transfer, so break the star half to see a failure
+    monkeypatch.setattr(bqa, "star_cert", lambda m, bound: bqa.Certificate("REFUTED", bound, "forced"))
+    report = run_suite("nakayama", SuiteConfig(algebra=dual_numbers, bound=6, seed=5))
+    failed = [r for r in report.records if not r.passed]
+    assert failed
+    for r in failed:
+        assert r.witness == (
+            f"replay: smonkit suite nakayama --bound 6 --samples 100 --seed 5 "
+            f"--only-instance {r.index} <context files>"
+        )
+    assert report.to_records().count("| replay: smonkit suite nakayama") == len(failed)
+
+
 def test_witnesses_replayable(ctx_dual_chain3):
     # force a failing record through a planted inconsistency: not possible
     # via the public suites (they pass), so check the record format instead
