@@ -48,7 +48,6 @@ __all__ = [
     "Hom",
     "HomBasis",
     "Certificate",
-    "IsoResult",
     "hom_space",
     "kernel",
     "cokernel",
@@ -62,10 +61,8 @@ __all__ = [
     "resolve",
     "hom_complex",
     "ext_dims",
-    "ext_dim",
     "pd_up_to",
     "dual_module",
-    "dual_hom",
     "star_module",
     "evaluation_map",
     "is_torsionless",
@@ -76,7 +73,6 @@ __all__ = [
     "gp_cert",
     "submodule_generated",
     "random_module",
-    "iso_probe",
 ]
 
 
@@ -919,10 +915,6 @@ def ext_dims(m: Module, n: Module, kmax: int, resolution: Resolution | None = No
     return out
 
 
-def ext_dim(m: Module, n: Module, k: int) -> int:
-    return ext_dims(m, n, k)[k]
-
-
 def pd_up_to(m: Module, bound: int) -> int | None:
     """Projective dimension if <= bound, else None (meaning MORE_THAN(bound)).
 
@@ -946,12 +938,6 @@ def dual_module(m: Module) -> Module:
     opp = m.algebra.opposite()
     mats = {a.name: m.mats[a.name].T for a in m.algebra.quiver.arrows}
     return opp.module(m.dims, mats)
-
-
-def dual_hom(f: Hom) -> Hom:
-    """The dual map dual(target) -> dual(source) over the opposite algebra."""
-    source, target = dual_module(f.target), dual_module(f.source)
-    return source.algebra.hom(source, target, tuple(m.T for m in f.mats))
 
 
 def _star_with_bases(m: Module) -> tuple[Module, dict[int, HomBasis]]:
@@ -1137,7 +1123,7 @@ def gp_cert(m: Module, bound: int) -> Certificate:
     return first if first.refuted else star_cert(m, bound)
 
 
-# -- sampling and isomorphism probes ------------------------------------------
+# -- sampling ---------------------------------------------------------------
 
 
 def submodule_generated(m: Module, seeds: list[tuple[int, np.ndarray]]) -> KernelPair:
@@ -1189,42 +1175,3 @@ def random_module(algebra: Algebra, budget: int, seed: int) -> Module:
     sub = submodule_generated(proj, gens)
     return cokernel(sub.inclusion).module
 
-
-@dataclass(frozen=True)
-class IsoResult:
-    kind: str  # "ISO" | "NOT_ISO" | "UNDECIDED"
-    reason: str = ""
-    witness: Hom | None = None
-
-
-def iso_probe(m: Module, n: Module, trials: int = 32, seed: int = 0) -> IsoResult:
-    """Sound isomorphism probe.
-
-    NOT_ISO verdicts come from genuine invariants (dimension vectors,
-    per-arrow ranks, hom-dimension fingerprints); ISO verdicts carry an
-    explicit invertible hom; anything else stays UNDECIDED.
-    """
-    if m.algebra is not n.algebra:
-        raise AlgebraMismatch("iso probe across algebras")
-    if m.dims != n.dims:
-        return IsoResult("NOT_ISO", f"dimension vectors {m.dims} != {n.dims}")
-    for a in m.algebra.quiver.arrows:
-        rm, rn = m.mats[a.name].rank(), n.mats[a.name].rank()
-        if rm != rn:
-            return IsoResult("NOT_ISO", f"rank of arrow {a.name}: {rm} != {rn}")
-    if m.is_zero():
-        return IsoResult("ISO", "both zero", identity_hom(m))
-    basis = hom_space(m, n)
-    end_m, end_n = hom_dim(m, m), hom_dim(n, n)
-    if not (basis.dim == hom_dim(n, m) == end_m == end_n):
-        return IsoResult(
-            "NOT_ISO",
-            f"hom fingerprint (mn={basis.dim}, nm={hom_dim(n, m)}, mm={end_m}, nn={end_n})",
-        )
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        coeffs = rng.integers(0, m.algebra.p, size=basis.dim)
-        h = basis.from_vector((coeffs @ basis.space.basis.data) % m.algebra.p)
-        if h.is_bijective():
-            return IsoResult("ISO", "invertible hom found", h)
-    return IsoResult("UNDECIDED", f"no invertible hom in {trials} random trials")

@@ -76,6 +76,25 @@ class _Lines:
             raise ParseError(no, f"expected '{keyword}', found '{parts[0]}'")
         return parts[1:]
 
+    def expect_int(self, keyword: str, what: str) -> tuple[int, int]:
+        """The line number and the value of a '<keyword> <int>' line."""
+        toks = self.expect(keyword)
+        no = self.rows[self.pos - 1][0]
+        if not toks:
+            raise ParseError(no, f"{what} is missing")
+        return no, _int(no, toks[0], what)
+
+    def expect_dims(self, n: int) -> tuple[int, ...]:
+        """The dimension vector of a 'dims' line with n entries, none negative."""
+        toks = self.expect("dims")
+        no = self.rows[self.pos - 1][0]
+        if len(toks) != n:
+            raise ParseError(no, f"expected {n} dimensions")
+        dims = tuple(_int(no, t, "dimension") for t in toks)
+        if min(dims, default=0) < 0:
+            raise ParseError(no, "dimensions must not be negative")
+        return dims
+
 
 def _int(no: int, token: str, what: str) -> int:
     try:
@@ -102,9 +121,7 @@ def parse_algebra(text: str, prime_override: int | None = None, acyclic: bool = 
         validate_prime(p)
     except ValueError as exc:
         raise ParseError(no, str(exc)) from None
-    toks = lines.expect("vertices")
-    no = lines.rows[lines.pos - 1][0]
-    n = _int(no, toks[0], "vertex count")
+    no, n = lines.expect_int("vertices", "vertex count")
     arrows: list[Arrow] = []
     relations: list[list[str]] = []
     while not lines.done():
@@ -168,11 +185,7 @@ def parse_module(text: str, algebra: Algebra) -> tuple[Module, str, list[str]]:
     if header != MODULE_HEADER:
         raise ParseError(no, f"expected header '{MODULE_HEADER}'")
     ref = " ".join(lines.expect("algebra"))
-    toks = lines.expect("dims")
-    dims_line = lines.rows[lines.pos - 1][0]
-    if len(toks) != algebra.quiver.n:
-        raise ParseError(dims_line, f"expected {algebra.quiver.n} dimensions")
-    dims = tuple(_int(dims_line, t, "dimension") for t in toks)
+    dims = lines.expect_dims(algebra.quiver.n)
     mats: dict[str, FpMatrix] = {}
     for a in algebra.quiver.arrows:
         toks = lines.expect("matrix")
@@ -229,9 +242,7 @@ def parse_layered(
     no, kw = lines.next()
     if kw != "quiver":
         raise ParseError(no, "expected 'quiver'")
-    toks = lines.expect("vertices")
-    no = lines.rows[lines.pos - 1][0]
-    qn = _int(no, toks[0], "vertex count")
+    no, qn = lines.expect_int("vertices", "vertex count")
     arrows: list[Arrow] = []
     relations: list[list[str]] = []
     while True:
@@ -265,19 +276,13 @@ def parse_layered(
     relabel = quiver.vertex_relabeling
     branches: dict[int, Module] = {}
     for _ in range(qn):
-        toks = lines.expect("branch")
-        no = lines.rows[lines.pos - 1][0]
-        file_vertex = _int(no, toks[0], "branch vertex")
+        no, file_vertex = lines.expect_int("branch", "branch vertex")
         if file_vertex not in relabel:
             raise ParseError(no, f"branch vertex {file_vertex} outside 1..{qn}")
         i = relabel[file_vertex]
         if i in branches:
             raise ParseError(no, f"duplicate branch {file_vertex}")
-        toks = lines.expect("dims")
-        dline = lines.rows[lines.pos - 1][0]
-        if len(toks) != base.quiver.n:
-            raise ParseError(dline, f"expected {base.quiver.n} dimensions")
-        dims = tuple(_int(dline, t, "dimension") for t in toks)
+        dims = lines.expect_dims(base.quiver.n)
         mats: dict[str, FpMatrix] = {}
         for a in base.quiver.arrows:
             toks = lines.expect("matrix")

@@ -338,39 +338,21 @@ def suite_adjunction(cfg: SuiteConfig) -> SuiteReport:
     the cokernel-side identity is asserted at positive degrees only for
     separated monic samples."""
     ctx = cfg.context
-    all_pred = ClassPredicate.all_modules()
 
     def worker(idx, rng):
         x, kind = sample_layered_mixed(ctx, rng, cfg.budget)
         m = sample_base_module(ctx, rng, cfg.budget)
         i = int(rng.integers(1, ctx.factor.quiver.n + 1))
-        smon = layered.check_separated_monic(x, all_pred).passed
-        kmax = 3 if smon else 0
-        for k in range(kmax + 1):
-            rep = layered.adjunction_check(x, m, i, k)
-            if not rep.branch_agrees:
-                return (
-                    False,
-                    f"{kind}: branch identity fails at k={k}: {rep.branch_side}",
-                    _replay_hint("adjunction", cfg, idx) + "\n" + _witness_layered(x),
-                )
-            if not rep.coker_agrees:
-                return (
-                    False,
-                    f"{kind}: cokernel identity fails at k={k}: {rep.coker_side}",
-                    _replay_hint("adjunction", cfg, idx) + "\n" + _witness_layered(x),
-                )
-        if not smon:
-            # the branch identity needs no monicity; assert it through degree 3
-            lhs = bqa.ext_dims(tensor(ctx, m, ctx.factor.projective(i)), x, 3)
-            rhs = bqa.ext_dims(m, x.branch(i), 3)
-            if lhs != rhs:
-                return (
-                    False,
-                    f"{kind}: branch identity fails at higher degree: {lhs} vs {rhs}",
-                    _replay_hint("adjunction", cfg, idx) + "\n" + _witness_layered(x),
-                )
-        return True, f"{kind}: identities agree (smon={smon}, kmax={kmax})", ""
+        rep = layered.adjunction_check(x, m, i, 3)
+        for k in range(4):
+            for name, (lhs, rhs) in (("branch", rep.branch_side), ("cokernel", rep.coker_side)):
+                if k < len(lhs) and lhs[k] != rhs[k]:
+                    return (
+                        False,
+                        f"{kind}: {name} identity fails at k={k}: {(lhs[k], rhs[k])}",
+                        _replay_hint("adjunction", cfg, idx) + "\n" + _witness_layered(x),
+                    )
+        return True, f"{kind}: identities agree (smon={rep.smon}, kmax={len(rep.coker_side[0]) - 1})", ""
 
     return SuiteReport("adjunction", cfg.echo(), _run_instances(cfg, worker))
 
@@ -487,13 +469,15 @@ def suite_triangular(cfg: SuiteConfig) -> SuiteReport:
     if not sources:
         raise ValueError("triangular suite needs a factor source vertex")
     split_vertex = max(sources)
-    sampled_base: list[Module] = []
+    # per sample: the y-part's star certificate, None when the y-part is not semi-gp
+    y_stars: list[bqa.Certificate | None] = []
 
     def worker(idx, rng):
         x, kind = sample_layered_mixed(ctx, rng, cfg.budget)
         t = layered.split_at_source(x, split_vertex)
         rep = layered.triple_conditions(t, cfg.bound)
-        sampled_base.append(t.y_part)
+        y_star = bqa.star_cert(t.y_part, cfg.bound) if rep.y_perp.certified else None
+        y_stars.append(y_star)
         if not rep.agree:
             rep2 = layered.triple_conditions(t, 2 * cfg.bound)
             if not rep2.agree:
@@ -508,7 +492,7 @@ def suite_triangular(cfg: SuiteConfig) -> SuiteReport:
             mono = t.phi.is_injective()
             coker = bqa.cokernel(t.phi).module
             coker_ok = bqa.gp_cert(coker, cfg.bound).certified
-            y_ok = bqa.gp_cert(t.y_part, cfg.bound).certified
+            y_ok = y_star is not None and y_star.certified
             if not (mono and coker_ok and y_ok):
                 return (
                     False,
@@ -521,10 +505,10 @@ def suite_triangular(cfg: SuiteConfig) -> SuiteReport:
 
     records = _run_instances(cfg, worker)
     report = SuiteReport("triangular", cfg.echo(), records)
-    semi = [m for m in sampled_base if bqa.semi_gp_cert(m, cfg.bound).certified]
-    lwg_like = all(bqa.star_cert(m, cfg.bound).certified for m in semi)
+    stars = [star for star in y_stars if star is not None]
+    lwg_like = all(star.certified for star in stars)
     report.extra.append(
-        f"base-sample: {len(sampled_base)} y-parts, {len(semi)} semi-gp, weakly-gorenstein-like={lwg_like}"
+        f"base-sample: {len(y_stars)} y-parts, {len(stars)} semi-gp, weakly-gorenstein-like={lwg_like}"
     )
     return report
 
@@ -669,30 +653,29 @@ def core_summary(
         if ell == nak.kupisch[v - 1] or not cert.certified:
             continue  # the projective itself, or not gp
         nonproj.append((v, ell))
-        orbit_lines.append(f"gp (vertex {v}, length {ell}): {_syzygy_orbit_note(nak, m)}")
-        # a certified module's syzygy stays indecomposable (uniserial): top is simple
-        syz = bqa.syzygy(m)
-        if not syz.is_zero() and bqa.top(syz).module.total_dim != 1:
+        res = bqa.resolve(m, _ORBIT_LIMIT)
+        orbit_lines.append(f"gp (vertex {v}, length {ell}): {_syzygy_orbit_note(res)}")
+        # a certified module's syzygy stays indecomposable (uniserial): its cover is one projective
+        cover = res.formal(1)
+        if cover is not None and len(cover.vertices) != 1:
             orbit_lines.append(f"  warning: syzygy of (v{v}, l{ell}) is not uniserial")
     cover_vertices = sorted({v for v, _ in nonproj})
     core_size = len(nonproj) + len(cover_vertices)
     return CoreReport(len(indecs), nonproj, core_size, orbit_lines, distinguishable)
 
 
-def _syzygy_orbit_note(nak: NakayamaAlgebra, m: Module, limit: int = 24) -> str:
-    """Follow syzygies until an isomorphic repeat appears (bounded)."""
-    orbit = [m]
-    current = m
-    for step in range(1, limit + 1):
-        current = bqa.syzygy(current)
-        if current.is_zero():
-            return f"syzygy orbit terminates (projective dimension {step - 1})"
-        for back, old in enumerate(orbit):
-            probe = bqa.iso_probe(old, current, trials=8, seed=step)
-            if probe.kind == "ISO":
-                return f"syzygy orbit closes: omega^{step} iso to omega^{back}"
-        orbit.append(current)
-    return f"syzygy orbit open after {limit} steps"
+_ORBIT_LIMIT = 24
+
+
+def _syzygy_orbit_note(res: bqa.Resolution) -> str:
+    """The syzygy orbit read off a minimal resolution out to ``_ORBIT_LIMIT``:
+    its exact loop Omega^j = Omega^i, its finite length, or neither."""
+    steps = len(res.formals)
+    if res.loop_start is not None:
+        return f"syzygy orbit closes: omega^{steps} iso to omega^{res.loop_start}"
+    if steps <= _ORBIT_LIMIT:
+        return f"syzygy orbit terminates (projective dimension {steps - 1})"
+    return f"syzygy orbit open after {_ORBIT_LIMIT} steps"
 
 
 def evidence_non_gorenstein(algebra: Algebra, bound: int) -> tuple[int | None, int | None]:

@@ -13,7 +13,9 @@ This module adds what only the layered reading has: the branch
 cokernel/kernel functors, tensor constructions, separated monic/epic
 membership with pluggable coefficient classes, source-vertex triangular
 splitting with the semi-Gorenstein-projective triple conditions, the Ext
-adjunction identities, extensions, and random layered modules.
+adjunction identities, extensions, and random layered modules.  Each
+adjunction identity is checked in every degree at once: one Ext sweep
+through the top degree for each of its two sides.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .quiver import Arrow, Path, Quiver, paths_annihilated_by, paths_annihilatin
 
 __all__ = [
     "NotSource",
-    "SmonRequired",
     "TensorContext",
     "LayeredModule",
     "LayeredHom",
@@ -56,10 +57,6 @@ __all__ = [
 
 class NotSource(ValueError):
     """The chosen vertex is not a source of the factor quiver."""
-
-
-class SmonRequired(ValueError):
-    """The Ext-level adjunction identity needs a separated monic argument."""
 
 
 def _at_branch(arrow_name: str, i: int) -> tuple:
@@ -391,16 +388,11 @@ class LayeredHom(Hom):
 # The engine's constructions under the names tests and benchmark code call
 # on layered modules.
 layered_hom_dim = bqa.hom_dim
-layered_kernel = bqa.kernel
 layered_projective_cover = bqa.projective_cover
 layered_resolve = bqa.resolve
 layered_ext_dims = bqa.ext_dims
-layered_pd_up_to = bqa.pd_up_to
 layered_semi_gp_cert = bqa.semi_gp_cert
 layered_gp_cert = bqa.gp_cert
-layered_star = bqa.star_module
-layered_evaluation_map = bqa.evaluation_map
-dual_layered = bqa.dual_module
 
 
 def layered_radical_subspaces(x: LayeredModule) -> list[list[Subspace]]:
@@ -668,37 +660,36 @@ def check_separated_epic(x: LayeredModule, pred: ClassPredicate) -> CheckResult:
 
 @dataclass(frozen=True)
 class AdjunctionReport:
-    """Dimension pairs for the two Ext adjunction identities at one degree."""
+    """Per-degree dimension lists for the two Ext adjunction identities.
 
-    coker_side: tuple[int, int]  # ext_A(Coker_i x, m) vs layered ext(x, m(x)S(i))
-    branch_side: tuple[int, int]  # layered ext(m(x)P(i), x) vs ext_A(m, x_i)
+    The branch side runs through kmax; the cokernel side runs through kmax
+    when x is separated monic and stops at degree 0 otherwise."""
 
-    @property
-    def coker_agrees(self) -> bool:
-        return self.coker_side[0] == self.coker_side[1]
-
-    @property
-    def branch_agrees(self) -> bool:
-        return self.branch_side[0] == self.branch_side[1]
+    smon: bool
+    coker_side: tuple[list[int], list[int]]  # ext_A(Coker_i x, m) vs layered ext(x, m(x)S(i))
+    branch_side: tuple[list[int], list[int]]  # layered ext(m(x)P(i), x) vs ext_A(m, x_i)
 
 
-def adjunction_check(x: LayeredModule, m: Module, i: int, k: int) -> AdjunctionReport:
-    """Evaluate both adjunction identities at degree k and branch vertex i.
+def adjunction_check(x: LayeredModule, m: Module, i: int, kmax: int) -> AdjunctionReport:
+    """Evaluate both adjunction identities at branch vertex i in every degree
+    through kmax, one Ext sweep for each side of each identity.
 
-    The cokernel-side identity at k >= 1 requires x to be separated monic
-    (SmonRequired otherwise); at k = 0 it is plain adjointness.
+    The cokernel-side identity at degrees >= 1 holds for separated monic x
+    only, so for any other x it is evaluated at degree 0, where it is plain
+    adjointness; the branch-side identity needs no monicity.
     """
     ctx = x.context
     if m.algebra is not ctx.base:
         raise bqa.AlgebraMismatch("coefficient module must live over the base algebra")
-    if k >= 1 and not check_separated_monic(x, ClassPredicate.all_modules()).passed:
-        raise SmonRequired("the Ext-level cokernel identity needs a separated monic module")
+    smon = check_separated_monic(x, ClassPredicate.all_modules()).passed
+    kc = kmax if smon else 0
     coker = branch_cokernel(x, i).module
-    lhs1 = bqa.ext_dims(coker, m, k)[k]
-    rhs1 = bqa.ext_dims(x, tensor(ctx, m, ctx.factor.simple(i)), k)[k]
-    lhs2 = bqa.ext_dims(tensor(ctx, m, ctx.factor.projective(i)), x, k)[k]
-    rhs2 = bqa.ext_dims(m, x.branch(i), k)[k]
-    return AdjunctionReport((lhs1, rhs1), (lhs2, rhs2))
+    s_i, p_i = tensor(ctx, m, ctx.factor.simple(i)), tensor(ctx, m, ctx.factor.projective(i))
+    return AdjunctionReport(
+        smon,
+        (bqa.ext_dims(coker, m, kc), bqa.ext_dims(x, s_i, kc)),
+        (bqa.ext_dims(p_i, x, kmax), bqa.ext_dims(m, x.branch(i), kmax)),
+    )
 
 
 # -- triangular splitting at a source vertex -------------------------------------

@@ -156,11 +156,6 @@ class Quiver:
             raise Cyclic("source vertices are defined for acyclic quivers")
         return [v for v in self.vertices if not self._into[v]]
 
-    def sink_vertices(self) -> list[int]:
-        if not self.is_acyclic():
-            raise Cyclic("sink vertices are defined for acyclic quivers")
-        return [v for v in self.vertices if not self._out[v]]
-
     def topological_order(self) -> list[int]:
         """Vertices with every arrow target before its source (sinks first)."""
         order = _sink_first_order(self.n, self.arrows)

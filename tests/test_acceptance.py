@@ -198,7 +198,7 @@ def test_criterion_7_pd_additivity(contexts):
         cfg = SuiteConfig(context=ctx, bound=8, samples=50, seed=505, context_label=label)
         reports.append(run_suite("pd-add", cfg))
     ctx = contexts[1]  # chain3 base, a2 factor
-    planted = layered.layered_pd_up_to(
+    planted = bqa.pd_up_to(
         tensor(ctx, ctx.base.simple(3), ctx.factor.projective(2)), 6
     )
     elapsed = time.monotonic() - start

@@ -243,6 +243,10 @@ MALFORMED = [
     ["check", "p4.alg"],
     ["--prime", "4", "check", "q3.alg"],
     ["--prime", "1", "check", "q3.alg"],
+    ["check", "nocount.alg"],
+    ["check", "nocount.lay"],
+    ["check", "nobranch.lay"],
+    ["check", "negdims.mod"],
 ]
 
 
@@ -257,6 +261,13 @@ def test_cli_malformed_input_is_a_usage_error(workdir, chain3, a2, args):
     (tmp / "p4.alg").write_text(files["q3"].read_text().replace("prime 2", "prime 4"))
     (tmp / "S3.mod").write_text(formats.serialize_module(chain3.simple(3), "q3.alg"))
     (tmp / "S2.mod").write_text(formats.serialize_module(chain3.simple(2), "q3.alg"))
+    (tmp / "nocount.alg").write_text("smonkit-algebra v1\nprime 2\nvertices\n")
+    quiver = "smonkit-layered v1\nbase q3.alg\nquiver\nvertices{}\nendquiver\n"
+    (tmp / "nocount.lay").write_text(quiver.format(""))
+    (tmp / "nobranch.lay").write_text(quiver.format(" 1") + "branch\n")
+    (tmp / "negdims.mod").write_text(
+        "smonkit-module v1\nalgebra q3.alg\ndims -1 1 1\nmatrix a\n1\nmatrix b\n1\n"
+    )
     proc = run_cli(args, tmp)
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()

@@ -33,6 +33,13 @@ def _reports():
         algebra=harness.nakayama_17_18_18(), bound=60, context_label="kupisch-17-18-18"
     )
     yield harness.run_suite("nakayama", cfg)
+    # small Nakayama algebras, so that the syzygy orbit lines are pinned too
+    for algebra in (
+        harness.algebra_loop_nilpotent(3),
+        harness.algebra_loop_nilpotent(4),
+        harness.algebra_three_chain(),
+    ):
+        yield harness.run_suite("nakayama", harness.SuiteConfig(algebra=algebra, bound=12))
 
 
 def render() -> str:

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smonkit import bqa, layered
+from smonkit import bqa, harness, layered
 from smonkit.layered import (
     ClassPredicate,
     LayeredModule,
     NotSource,
-    SmonRequired,
     adjunction_check,
     assemble,
     branch_cokernel,
@@ -22,13 +21,11 @@ from smonkit.layered import (
     build_approximation_triple,
     check_separated_epic,
     check_separated_monic,
-    dual_layered,
     extension_module,
     extension_space,
     layered_ext_dims,
     layered_gp_cert,
     layered_hom_dim,
-    layered_pd_up_to,
     layered_projective_cover,
     layered_radical_subspaces,
     layered_semi_gp_cert,
@@ -165,7 +162,7 @@ def test_sepi_examples(ctx_k_chain3):
     s2 = tensor(ctx, k, ctx.factor.simple(2))
     res = check_separated_epic(s2, ALL)
     assert not res.passed and res.condition in ("e1", "e2")
-    inj = dual_layered(tensor(ctx, k, ctx.factor.projective(3)))
+    inj = bqa.dual_module(tensor(ctx, k, ctx.factor.projective(3)))
     # duality: the dual of a separated monic module is separated epic
     assert check_separated_epic(inj, ALL).passed
 
@@ -176,7 +173,7 @@ def test_sepi_smon_duality_roundtrip(ctx_dual_chain3):
         x = random_layered(ctx, 3, seed)
         assert (
             check_separated_monic(x, ALL).passed
-            == check_separated_epic(dual_layered(x), ALL).passed
+            == check_separated_epic(bqa.dual_module(x), ALL).passed
         )
 
 
@@ -243,10 +240,10 @@ def test_pd_additivity_planted(ctx_chain3_a2):
     # pd(S(3)) = 2 over the chain; tensoring with a factor projective keeps it
     ctx = ctx_chain3_a2
     x = tensor(ctx, ctx.base.simple(3), ctx.factor.projective(2))
-    assert layered_pd_up_to(x, 6) == 2
+    assert bqa.pd_up_to(x, 6) == 2
     y = tensor(ctx, ctx.base.projective(2), ctx.factor.simple(2))
     assert bqa.pd_up_to(ctx.factor.simple(2), 3) == 1
-    assert layered_pd_up_to(y, 6) == 1
+    assert bqa.pd_up_to(y, 6) == 1
 
 
 def test_layered_resolution_minimality(ctx_dual_chain3):
@@ -270,28 +267,58 @@ def test_adjunction_identities_on_smon(ctx_k_chain3):
     k = ctx.base.projective(1)
     x = tensor(ctx, k, ctx.factor.projective(3))
     rep = adjunction_check(x, k, 3, 0)
-    assert rep.coker_side == (1, 1) and rep.coker_agrees
-    assert rep.branch_agrees
+    assert rep.smon and rep.coker_side == ([1], [1])
+    assert rep.branch_side[0] == rep.branch_side[1]
 
 
 def test_adjunction_branch_identity_tensor(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     m = ctx.base.simple(1)
     x = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(2))
-    for k in range(3):
-        rep = adjunction_check(x, m, 2, k)
-        assert rep.branch_agrees
-        assert rep.branch_side[1] == bqa.ext_dims(m, x.branch(2), k)[k]
+    rep = adjunction_check(x, m, 2, 2)
+    assert rep.branch_side[0] == rep.branch_side[1]
+    assert rep.branch_side[1] == [bqa.ext_dims(m, x.branch(2), k)[k] for k in range(3)]
 
 
 def test_adjunction_requires_smon_at_positive_degree(ctx_k_chain3):
+    # the cokernel side stops at degree 0 for a non-monic x
     ctx = ctx_k_chain3
     k = ctx.base.projective(1)
     s2 = tensor(ctx, k, ctx.factor.simple(2))
-    rep = adjunction_check(s2, k, 2, 0)  # degree zero never needs monicity
-    assert rep.coker_agrees
-    with pytest.raises(SmonRequired):
-        adjunction_check(s2, k, 2, 1)
+    rep = adjunction_check(s2, k, 2, 1)
+    assert not rep.smon
+    lhs, rhs = rep.coker_side  # degree zero never needs monicity
+    assert len(lhs) == len(rhs) == 1 and lhs == rhs
+    assert len(rep.branch_side[0]) == len(rep.branch_side[1]) == 2
+
+
+def test_adjunction_check_matches_per_degree_reference():
+    # each side is one Ext sweep; the reference reads one degree per sweep
+    seen_smon = set()
+    for base, factor in (("kx2", "chain3"), ("chain3", "a2")):
+        ctx = harness.standard_context(base, factor)
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            x, _ = harness.sample_layered_mixed(ctx, rng, 3)
+            m = harness.sample_base_module(ctx, rng, 3)
+            i = int(rng.integers(1, ctx.factor.quiver.n + 1))
+            rep = adjunction_check(x, m, i, 3)
+            smon = check_separated_monic(x, ALL).passed
+            seen_smon.add(smon)
+            coker = branch_cokernel(x, i).module
+            s_i = tensor(ctx, m, ctx.factor.simple(i))
+            p_i = tensor(ctx, m, ctx.factor.projective(i))
+            ck = range(4 if smon else 1)
+            assert rep.smon == smon
+            assert rep.coker_side == (
+                [bqa.ext_dims(coker, m, k)[k] for k in ck],
+                [bqa.ext_dims(x, s_i, k)[k] for k in ck],
+            )
+            assert rep.branch_side == (
+                [bqa.ext_dims(p_i, x, k)[k] for k in range(4)],
+                [bqa.ext_dims(m, x.branch(i), k)[k] for k in range(4)],
+            )
+    assert seen_smon == {True, False}
 
 
 # -- duality ---------------------------------------------------------------------------------
@@ -300,14 +327,14 @@ def test_adjunction_requires_smon_at_positive_degree(ctx_k_chain3):
 def test_dual_layered_involutive_dims(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     x = random_layered(ctx, 3, 21)
-    assert dual_layered(dual_layered(x)).dim_table() == x.dim_table()
-    assert dual_layered(ctx.zero_module()).is_zero()
+    assert bqa.dual_module(bqa.dual_module(x)).dim_table() == x.dim_table()
+    assert bqa.dual_module(ctx.zero_module()).is_zero()
 
 
 def test_dual_of_tensor_projective_is_injective_like(ctx_k_chain3):
     ctx = ctx_k_chain3
     x = tensor(ctx, ctx.base.projective(1), ctx.factor.projective(3))
-    d = dual_layered(x)
+    d = bqa.dual_module(x)
     opp_inj = bqa.dual_module(ctx.factor.projective(3))
     for i in ctx.factor.quiver.vertices:
         assert d.branch(i).total_dim == opp_inj.dim(i)
@@ -484,7 +511,7 @@ def test_m1_fails_when_images_collide(kronecker_ctx):
     res = check_separated_monic(bad, ALL)
     assert not res.passed and res.condition == "m1"
     # and the dual fails the epic direct-sum condition
-    assert not check_separated_epic(dual_layered(bad), ALL).passed
+    assert not check_separated_epic(bqa.dual_module(bad), ALL).passed
 
 
 def test_m1_passes_with_independent_images(kronecker_ctx):
@@ -503,12 +530,12 @@ def test_m1_passes_with_independent_images(kronecker_ctx):
 def test_layered_star_is_valid(ctx_dual_chain3):
     for seed in (0, 5):
         x = random_layered(ctx_dual_chain3, 3, seed)
-        assert layered.layered_star(x).violations() == []
+        assert bqa.star_module(x).violations() == []
 
 
 def test_extension_is_short_exact(ctx_dual_chain3):
     from smonkit.bqa import Hom
-    from smonkit.layered import LayeredHom, layered_kernel
+    from smonkit.layered import LayeredHom
 
     ctx = ctx_dual_chain3
     subm = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3))
@@ -525,7 +552,7 @@ def test_extension_is_short_exact(ctx_dual_chain3):
     proj = LayeredHom(e, quom, tuple(proj_parts))
     assert incl.is_injective() and proj.is_surjective()
     assert (proj @ incl).is_zero()
-    assert layered_kernel(proj).module.total_dim == subm.total_dim
+    assert bqa.kernel(proj).module.total_dim == subm.total_dim
 
 
 def test_hom_from_layered_regular_is_underlying_space(ctx_dual_chain3):
@@ -534,6 +561,6 @@ def test_hom_from_layered_regular_is_underlying_space(ctx_dual_chain3):
     for seed in range(3):
         x = random_layered(ctx, 3, seed)
         assert layered_hom_dim(reg, x) == x.total_dim
-    ev = layered.layered_evaluation_map(reg)
+    ev = bqa.evaluation_map(reg)
     assert ev.is_bijective()
-    assert layered.layered_star(reg).total_dim == reg.total_dim
+    assert bqa.star_module(reg).total_dim == reg.total_dim
