@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactla import FpMatrix, Subspace, null_space, column_space, rows_array, solve, solve_many
+from .exactla import FpMatrix, Subspace, null_space, column_space, rows_array, solve, solve_many, validate_prime
 from .quiver import (
     Arrow,
     MonomialIdeal,
@@ -106,7 +106,7 @@ class Presentation:
     quiver: Quiver
 
     def __init__(self, p: int):
-        self.p = p
+        self.p = validate_prime(p)
         self._between: dict[tuple[int, int], list[Path]] | None = None
         self._fiber_index: dict[tuple[int, int], dict[Path, int]] = {}
         self._projectives: dict[int, Module] = {}
@@ -313,7 +313,7 @@ class Module:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Module):
             return NotImplemented
-        return (
+        return self is other or (
             self.algebra is other.algebra
             and self.dims == other.dims
             and all(self.mats[k] == other.mats[k] for k in self.mats)
@@ -346,6 +346,8 @@ class Hom:
             want = (target.dim(v), source.dim(v))
             if mats[v - 1].shape != want:
                 raise ShapeMismatch(f"vertex {v}: matrix shape {mats[v - 1].shape}, expected {want}")
+            if mats[v - 1].p != source.algebra.p:
+                raise ShapeMismatch(f"vertex {v}: prime {mats[v - 1].p} != {source.algebra.p}")
         self.source = source
         self.target = target
         self.mats = tuple(mats)
@@ -356,10 +358,10 @@ class Hom:
         return self.mats[v - 1]
 
     def is_natural(self) -> bool:
+        p = self.source.algebra.p
         for a in self.source.algebra.quiver.arrows:
-            lhs = self.target.mats[a.name] @ self.mat(a.source)
-            rhs = self.mat(a.target) @ self.source.mats[a.name]
-            if lhs != rhs:
+            lhs = self.target.mats[a.name].data @ self.mat(a.source).data
+            if ((lhs - self.mat(a.target).data @ self.source.mats[a.name].data) % p).any():
                 return False
         return True
 
@@ -434,12 +436,13 @@ class HomBasis:
         return self.space.dim
 
     def from_vector(self, vec: np.ndarray) -> Hom:
+        """The hom whose flattened entries are ``vec``, an int64 vector already reduced mod p."""
         mats = []
         off = 0
         p = self.source.algebra.p
         for v in self.source.algebra.quiver.vertices:
             r, c = self.target.dim(v), self.source.dim(v)
-            mats.append(FpMatrix(p, vec[off : off + r * c].reshape(r, c)))
+            mats.append(FpMatrix._of(p, vec[off : off + r * c].reshape(r, c)))
             off += r * c
         return self.source.algebra.hom(self.source, self.target, tuple(mats), check=False)
 
@@ -462,15 +465,15 @@ def _naturality_rows(m: Module, n: Module) -> np.ndarray:
     blocks = []
     for a in alg.quiver.arrows:
         s, e = a.source, a.target
-        rows = n.dim(e) * m.dim(s)
-        if rows == 0:
+        ms, ne = m.dim(s), n.dim(e)
+        if ne * ms == 0:
             continue
-        block = np.zeros((rows, total), dtype=np.int64)
-        na, ma = n.mats[a.name].data, m.mats[a.name].data
-        block[:, offs[s - 1] : offs[s]] = np.kron(na, np.eye(m.dim(s), dtype=np.int64))
-        block[:, offs[e - 1] : offs[e]] = (
-            block[:, offs[e - 1] : offs[e]] - np.kron(np.eye(n.dim(e), dtype=np.int64), ma.T)
-        ) % p
+        block = np.zeros((ne * ms, total), dtype=np.int64)
+        # row (i, j) is entry (i, j) of N_a f_s - f_e M_a; += and -= keep a loop (s = e) right
+        i, j = np.arange(ne)[:, None, None], np.arange(ms)[None, :, None]
+        k, l = np.arange(n.dim(s))[None, None, :], np.arange(m.dim(e))[None, None, :]
+        block[i * ms + j, offs[s - 1] + k * ms + j] += n.mats[a.name].data[:, None, :]
+        block[i * ms + j, offs[e - 1] + i * m.dim(e) + l] -= m.mats[a.name].data.T[None, :, :]
         blocks.append(block)
     if not blocks:
         return np.zeros((0, total), dtype=np.int64)
@@ -519,15 +522,14 @@ def _submodule_from_subspaces(m: Module, spaces: list[Subspace]) -> KernelPair:
     """Realize vertexwise subspaces closed under the arrow action as a module."""
     alg = m.algebra
     dims = tuple(s.dim for s in spaces)
-    incls = [FpMatrix(alg.p, s.basis.data.T) for s in spaces]
+    incls = [FpMatrix._of(alg.p, s.basis.data.T) for s in spaces]
     mats = {}
     for a in alg.quiver.arrows:
         moved = (m.mats[a.name] @ incls[a.source - 1]).data
-        coords = _coords_cols(spaces[a.target - 1], moved)
-        mats[a.name] = FpMatrix(alg.p, coords)
+        mats[a.name] = FpMatrix._of(alg.p, _coords_cols(spaces[a.target - 1], moved))
     sub = alg.module(dims, mats)
-    incl = alg.hom(sub, m, tuple(incls))
-    return KernelPair(sub, incl)
+    # naturality of incl is M_a incl_s = incl_t coords_a, which _coords_cols checked per arrow
+    return KernelPair(sub, alg.hom(sub, m, tuple(incls), check=False))
 
 
 def _coords_cols(space: Subspace, cols: np.ndarray) -> np.ndarray:
@@ -661,10 +663,9 @@ def radical_subspaces(m: Module) -> list[Subspace]:
     alg = m.algebra
     out = []
     for v in alg.quiver.vertices:
-        parts = [Subspace.zero(alg.p, m.dim(v))]
-        for a in alg.quiver.arrows_into(v):
-            parts.append(column_space(m.mats[a.name]))
-        out.append(Subspace.sum_of(parts))
+        cols = [np.zeros((0, m.dim(v)), dtype=np.int64)]
+        cols += [m.mats[a.name].data.T for a in alg.quiver.arrows_into(v)]
+        out.append(Subspace.from_spanning(alg.p, m.dim(v), np.concatenate(cols, axis=0)))
     return out
 
 
@@ -730,7 +731,7 @@ class FormalProjective:
                     longer = alg.extend(q, a)
                     if longer is not None:
                         mat[self._index[a.target][(t, longer)], col] = 1
-                mats[a.name] = FpMatrix(alg.p, mat)
+                mats[a.name] = FpMatrix._of(alg.p, mat)
             self._module = alg.module(dims, mats)
         return self._module
 
@@ -762,7 +763,7 @@ def projective_cover(m: Module, pad_vertex: int | None = None) -> Cover:
         mat = np.zeros((m.dim(w), proj.dim(w)), dtype=np.int64)
         for col, (t, q) in enumerate(formal.fiber(w)):
             mat[:, col] = m.path_matrix(q).apply(lifts[t][1])
-        mats.append(FpMatrix(alg.p, mat))
+        mats.append(FpMatrix._of(alg.p, mat))
     epi = alg.hom(proj, m, tuple(mats))
     for v in alg.quiver.vertices:
         if epi.mat(v).rank() != m.dim(v):

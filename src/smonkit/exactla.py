@@ -9,6 +9,14 @@ Subspaces are stored as reduced-row-echelon bases, so two subspaces are
 equal exactly when their basis matrices are equal.  All values are
 immutable after construction and every operation is a pure function of
 its inputs.
+
+``FpMatrix(p, data)`` validates: it checks that p is prime, converts the
+data to a 2-D int64 array and reduces it mod p.  Parsers and every
+user-facing entry point build matrices this way.  ``FpMatrix._of(p, arr)``
+only wraps and freezes; it relies on arr being a 2-D int64 array with
+entries already in [0, p) and on p having been validated before.  The
+engine's own results (products and sums after one ``% p``, echelon forms,
+stacks, transposes) meet that invariant by construction and use it.
 """
 
 from __future__ import annotations
@@ -100,15 +108,24 @@ class FpMatrix:
         arr.setflags(write=False)
         self.data = arr
 
+    @classmethod
+    def _of(cls, p: int, arr: np.ndarray) -> "FpMatrix":
+        """Wrap a 2-D int64 array already in [0, p) for a validated p, without checks."""
+        m = object.__new__(cls)
+        m.p = p
+        arr.setflags(write=False)
+        m.data = arr
+        return m
+
     # -- construction -------------------------------------------------
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
+        return cls._of(validate_prime(p), np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
+        return cls._of(validate_prime(p), np.eye(n, dtype=np.int64))
 
     @classmethod
     def hstack(cls, p: int, rows: int, blocks: list["FpMatrix"]) -> "FpMatrix":
@@ -119,7 +136,7 @@ class FpMatrix:
                 raise PrimeMismatch(f"prime {b.p} != {p}")
         if not blocks:
             return cls.zeros(p, rows, 0)
-        return cls(p, np.concatenate([b.data for b in blocks], axis=1))
+        return cls._of(p, np.concatenate([b.data for b in blocks], axis=1))
 
     @classmethod
     def vstack(cls, p: int, cols: int, blocks: list["FpMatrix"]) -> "FpMatrix":
@@ -130,7 +147,7 @@ class FpMatrix:
                 raise PrimeMismatch(f"prime {b.p} != {p}")
         if not blocks:
             return cls.zeros(p, 0, cols)
-        return cls(p, np.concatenate([b.data for b in blocks], axis=0))
+        return cls._of(p, np.concatenate([b.data for b in blocks], axis=0))
 
     @classmethod
     def block_diag(cls, p: int, blocks: list["FpMatrix"]) -> "FpMatrix":
@@ -144,7 +161,7 @@ class FpMatrix:
             out[r : r + b.rows, c : c + b.cols] = b.data
             r += b.rows
             c += b.cols
-        return cls(p, out)
+        return cls._of(validate_prime(p), out)
 
     # -- shape --------------------------------------------------------
 
@@ -162,7 +179,7 @@ class FpMatrix:
 
     @property
     def T(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.data.T)
+        return FpMatrix._of(self.p, self.data.T)
 
     def is_zero(self) -> bool:
         return not self.data.any()
@@ -177,11 +194,11 @@ class FpMatrix:
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._coerce(other)
-        return FpMatrix(self.p, self.data + other.data)
+        return FpMatrix._of(self.p, (self.data + other.data) % self.p)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._coerce(other)
-        return FpMatrix(self.p, self.data - other.data)
+        return FpMatrix._of(self.p, (self.data - other.data) % self.p)
 
     def __neg__(self) -> "FpMatrix":
         return FpMatrix(self.p, -self.data)
@@ -190,7 +207,7 @@ class FpMatrix:
         self._coerce(other)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        return FpMatrix(self.p, self.data @ other.data)
+        return FpMatrix._of(self.p, (self.data @ other.data) % self.p)
 
     def scale(self, c: int) -> "FpMatrix":
         return FpMatrix(self.p, self.data * (c % self.p))
@@ -198,7 +215,7 @@ class FpMatrix:
     def kron(self, other: "FpMatrix") -> "FpMatrix":
         """Kronecker product; row (i, j) of the result is i*other.rows + j."""
         self._coerce(other)
-        return FpMatrix(self.p, np.kron(self.data, other.data))
+        return FpMatrix._of(self.p, np.kron(self.data, other.data) % self.p)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply to a 1-D coordinate vector, returning a reduced 1-D vector."""
@@ -209,7 +226,7 @@ class FpMatrix:
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
         m, piv = _rref(self.data, self.p)
-        return FpMatrix(self.p, m), piv
+        return FpMatrix._of(self.p, m), piv
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -263,7 +280,7 @@ class Subspace:
         if arr.shape[1] != ambient:
             raise AmbientMismatch(f"rows of width {arr.shape[1]} in ambient {ambient}")
         red, piv = _rref(arr, p)
-        return cls(p, ambient, FpMatrix(p, red[: len(piv)]), piv)
+        return cls(p, ambient, FpMatrix._of(validate_prime(p), red[: len(piv)]), piv)
 
     @classmethod
     def zero(cls, p: int, ambient: int) -> "Subspace":
@@ -361,11 +378,11 @@ class Subspace:
         for j, c in enumerate(self.pivots):
             sel[c, j] = 1
         reducer = (np.eye(n, dtype=np.int64) - sel @ self.basis.data) % p
-        proj = FpMatrix(p, reducer[:, nonpiv].T)
+        proj = FpMatrix._of(p, reducer[:, nonpiv].T)
         sec = np.zeros((n, n - d), dtype=np.int64)
         for j, c in enumerate(nonpiv):
             sec[c, j] = 1
-        return proj, FpMatrix(p, sec)
+        return proj, FpMatrix._of(p, sec)
 
 
 class QuotientSpace:

@@ -7,6 +7,7 @@ syzygy-periodic).  All expected values were computed by hand from the
 projective structure before the engine existed and are frozen here.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from smonkit import bqa, harness, layered
 from smonkit.bqa import (
     AlgebraMismatch,
     Module,
+    ShapeMismatch,
     check_module,
     cokernel,
     direct_sum,
@@ -37,7 +39,7 @@ from smonkit.bqa import (
     syzygy,
     top,
 )
-from smonkit.exactla import FpMatrix
+from smonkit.exactla import FpMatrix, Subspace, column_space, null_space
 
 
 # -- structural constants of the chain algebra --------------------------------
@@ -479,3 +481,116 @@ def test_hom_from_regular_is_underlying_space(chain3, dual_numbers):
             m = random_module(alg, 3, seed)
             assert hom_dim(reg, m) == m.total_dim
         assert evaluation_map(reg).is_bijective()
+
+
+# -- naturality checks and the constructions behind Hom spaces and covers ------
+
+
+def _scaled_identity(m, point, c):
+    """The identity family of m, scaled by c at one point (natural only if c = 1 there)."""
+    p = m.algebra.p
+    return tuple(
+        FpMatrix(p, (c if v == point else 1) * np.eye(m.dim(v), dtype=np.int64))
+        for v in m.algebra.quiver.vertices
+    )
+
+
+def _moving_arrow(m):
+    """An arrow between distinct points whose matrix on m is nonzero."""
+    return next(
+        a for a in m.algebra.quiver.arrows if a.source != a.target and not m.mats[a.name].is_zero()
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_check_rejects_non_natural(p):
+    chain = harness.algebra_three_chain(p=p)
+    ctx = harness.standard_context("chain3", "a2", p=p)
+    for m, make in (
+        (chain.projective(2), bqa.Hom),
+        (ctx.projective(ctx.point(2, 3)), layered.LayeredHom.from_points),
+    ):
+        assert make(m, m, _scaled_identity(m, 1, 1), True).is_natural()
+        arrow = _moving_arrow(m)
+        for c in range(p):
+            if c == 1:
+                continue
+            mats = _scaled_identity(m, arrow.target, c)
+            with pytest.raises(ShapeMismatch):
+                make(m, m, mats, True)
+            assert not make(m, m, mats, False).is_natural()
+        # matrices over another prime are refused, whatever the check flag
+        other = tuple(FpMatrix(5 - p, mat.data) for mat in _scaled_identity(m, 1, 1))
+        with pytest.raises(ShapeMismatch):
+            make(m, m, other, False)
+
+
+def test_presentation_rejects_non_prime_modulus():
+    # trusted matrix wraps take the algebra's prime as validated
+    with pytest.raises(ValueError, match="not prime"):
+        harness.algebra_three_chain(p=4)
+
+
+def _kron_naturality_rows(m, n):
+    """The naturality system of Hom(m, n) built from Kronecker products."""
+    alg = m.algebra
+    offs = np.cumsum([0] + [n.dim(v) * m.dim(v) for v in alg.quiver.vertices])
+    blocks = [np.zeros((0, int(offs[-1])), dtype=np.int64)]
+    for a in alg.quiver.arrows:
+        s, e = a.source, a.target
+        block = np.zeros((n.dim(e) * m.dim(s), int(offs[-1])), dtype=np.int64)
+        block[:, offs[s - 1] : offs[s]] += np.kron(n.mats[a.name].data, np.eye(m.dim(s), dtype=np.int64))
+        block[:, offs[e - 1] : offs[e]] -= np.kron(np.eye(n.dim(e), dtype=np.int64), m.mats[a.name].data.T)
+        blocks.append(block % alg.p)
+    return np.concatenate(blocks, axis=0)
+
+
+def _summed_radicals(m):
+    """Radical subspaces as the sum of one column space per incoming arrow."""
+    alg = m.algebra
+    return [
+        Subspace.sum_of(
+            [Subspace.zero(alg.p, m.dim(v))]
+            + [column_space(m.mats[a.name]) for a in alg.quiver.arrows_into(v)]
+        )
+        for v in alg.quiver.vertices
+    ]
+
+
+def _sample_modules(p):
+    algebras = [
+        harness.algebra_trivial(p=p),
+        harness.algebra_loop_nilpotent(2, p=p),
+        harness.algebra_loop_nilpotent(3, p=p),
+        harness.algebra_three_chain(p=p),
+        harness.algebra_line(3, p=p),
+        harness.nakayama_17_18_18(p=p),
+    ]
+    for alg in algebras:
+        yield [random_module(alg, 3, seed) for seed in range(3)] + [alg.projective(1)]
+    # x acting by a nilpotent matrix with a nonzero diagonal, where both
+    # Kronecker blocks of kx2's loop meet on the same entries
+    kx2 = algebras[1]
+    skew = Module(kx2, (2,), {"x": FpMatrix(p, [[1, 1], [-1, -1]])})
+    assert check_module(skew) == []
+    yield [skew, kx2.projective(1), random_module(kx2, 3, 5)]
+    for base, factor in (("kx2", "chain3"), ("chain3", "a2")):
+        ctx = harness.standard_context(base, factor, p=p)
+        yield [layered.random_layered(ctx, 3, seed) for seed in range(3)] + [ctx.projective(1)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_naturality_rows_and_radicals_match_reference(p):
+    loops = 0
+    for modules in _sample_modules(p):
+        for m in modules:
+            assert bqa.radical_subspaces(m) == _summed_radicals(m)
+            for n in modules:
+                ref = _kron_naturality_rows(m, n)
+                assert np.array_equal(bqa._naturality_rows(m, n), ref)
+                assert hom_space(m, n).space == null_space(FpMatrix(p, ref))
+                loops += sum(
+                    a.source == a.target and n.dim(a.target) * m.dim(a.source) > 0
+                    for a in m.algebra.quiver.arrows
+                )
+    assert loops > 0  # kx2's loop, alone and in every branch of kx2/chain3
