@@ -113,7 +113,7 @@ class Presentation:
         self._simples: dict[int, Module] = {}
         self._injectives: dict[int, Module] = {}
         self._right_mult: dict[str, Hom] = {}
-        self._regular: DirectSum | None = None
+        self._regular: Module | None = None
         self._opposite = None
 
     # -- the presentation ----------------------------------------------------
@@ -185,8 +185,8 @@ class Presentation:
     def regular_module(self) -> "Module":
         """The algebra as a left module over itself."""
         if self._regular is None:
-            self._regular = direct_sum([self.projective(v) for v in self.quiver.vertices])
-        return self._regular.module
+            self._regular = direct_sum([self.projective(v) for v in self.quiver.vertices]).module
+        return self._regular
 
     def right_multiplication(self, arrow_name) -> "Hom":
         """Right multiplication by an arrow a as a left-module map P(e(a)) -> P(s(a))."""
@@ -246,11 +246,6 @@ class Algebra(Presentation):
 
     def reversal(self, path: Path) -> Path:
         return Path(path.target, path.source, tuple(reversed(path.arrows)))
-
-    def regular(self) -> "DirectSum":
-        """The algebra as a left module over itself, with its projective summands."""
-        self.regular_module()
-        return self._regular
 
     def opposite(self) -> "Algebra":
         if self._opposite is None:

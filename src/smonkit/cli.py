@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from . import bqa, formats, harness, layered
+from . import bqa, exactla, formats, harness, layered
 from .bqa import Algebra, Module
 from .formats import ParseError
 from .layered import ClassPredicate, LayeredModule, TensorContext
@@ -105,20 +105,12 @@ def load_layered_file(
 
 def _predicate(args, base: Algebra) -> ClassPredicate:
     kind = args.pred.upper().replace("-", "_")
-    if kind == "ALL":
-        return ClassPredicate.all_modules()
-    if kind == "PROJ":
-        return ClassPredicate.projectives()
-    if kind == "INJ":
-        return ClassPredicate.injectives()
-    if kind == "GPROJ":
-        return ClassPredicate.gproj(args.bound)
-    if kind == "SEMI_GP":
-        return ClassPredicate.semi_gp(args.bound)
+    if kind not in ClassPredicate.KINDS:
+        raise CliError(f"unknown predicate '{args.pred}'")
+    targets = []
     if kind == "PERP_OF":
         if not args.perp:
             raise CliError("--pred PERP_OF needs at least one --perp module file")
-        targets = []
         for p in args.perp:
             m, bad, _ = load_module_file(p, args.prime)
             if bad:
@@ -128,8 +120,7 @@ def _predicate(args, base: Algebra) -> ClassPredicate:
                     f"{p}: PERP_OF module must live over the layered module's base algebra"
                 )
             targets.append(m)
-        return ClassPredicate.perp_of(targets, args.bound)
-    raise CliError(f"unknown predicate '{args.pred}'")
+    return ClassPredicate(kind, args.bound, tuple(targets))
 
 
 # -- commands -----------------------------------------------------------------
@@ -308,6 +299,9 @@ def cmd_suite(args) -> int:
             raise CliError(f"suite {args.name} takes a base and a factor algebra file")
         base = _load_algebra_cached(args.context[0], args.prime)
         factor = _load_algebra_cached(args.context[1], args.prime, acyclic=True)
+        for path, alg in zip(args.context, (base, factor)):
+            if alg.quiver.n == 0:
+                raise CliError(f"{path}: suite {args.name} needs an algebra with at least one vertex")
         ctx = TensorContext(base, factor)
         cfg = harness.SuiteConfig(
             context=ctx,
@@ -424,6 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         ParseError,
         bqa.AlgebraMismatch,
         bqa.ShapeMismatch,
+        exactla.PrimeMismatch,
         harness.NotNakayama,
         harness.NoSuchInstance,
     ) as exc:

@@ -261,7 +261,7 @@ def _planted_positive(ctx: TensorContext, rng: np.random.Generator, budget: int)
         m2 = sample_base_module(ctx, rng, budget)
         j = int(rng.integers(1, ctx.factor.quiver.n + 1))
         y = tensor(ctx, m2, ctx.factor.projective(j))
-        space, _ = layered.extension_space(x, y)
+        space = layered.extension_space(x, y)
         if space.dim:
             coeffs = rng.integers(0, ctx.p, size=space.dim)
             return layered.extension_module(x, y, (coeffs @ space.basis.data) % ctx.p)
@@ -359,8 +359,8 @@ def suite_adjunction(cfg: SuiteConfig) -> SuiteReport:
 
 def _cogenerator_tensor(ctx: TensorContext) -> LayeredModule:
     """The dual regular base module tensored with the whole factor algebra."""
-    da = bqa.dual_module(ctx.base.opposite().regular().module)
-    return tensor(ctx, da, ctx.factor.regular().module)
+    da = bqa.dual_module(ctx.base.opposite().regular_module())
+    return tensor(ctx, da, ctx.factor.regular_module())
 
 
 def suite_smon_perp(cfg: SuiteConfig) -> SuiteReport:
@@ -681,8 +681,8 @@ def _syzygy_orbit_note(res: bqa.Resolution) -> str:
 def evidence_non_gorenstein(algebra: Algebra, bound: int) -> tuple[int | None, int | None]:
     """Bounded self-injective dimensions: pd of the dual regular module on
     both sides; None means the bound was exceeded (evidence, not proof)."""
-    left = bqa.pd_up_to(bqa.dual_module(algebra.regular().module), bound)
-    right = bqa.pd_up_to(bqa.dual_module(algebra.opposite().regular().module), bound)
+    left = bqa.pd_up_to(bqa.dual_module(algebra.regular_module()), bound)
+    right = bqa.pd_up_to(bqa.dual_module(algebra.opposite().regular_module()), bound)
     return left, right
 
 

@@ -7,7 +7,10 @@ ideal generators.  ``TensorContext`` presents the tensor algebra to the
 homological engine in ``bqa`` (its relations are not monomial, but the
 engine never reads relations), so covers, resolutions, Ext, the star and
 the certificates of layered modules are the engine's own; the branches
-and arrow maps are views of the engine's points and arrows.
+and arrow maps are views of the engine's points and arrows.  A factor
+path acting at a base vertex is an engine word (``at_vertex``), a layered
+hom is checked as an engine hom, and the cocycle system of extensions is
+the engine's Hom system per arrow plus the factor relations.
 
 This module adds what only the layered reading has: the branch
 cokernel/kernel functors, tensor constructions, separated monic/epic
@@ -28,7 +31,7 @@ import numpy as np
 from . import bqa
 from .bqa import Algebra, Certificate, Hom, Module
 from .exactla import FpMatrix, PrimeMismatch, Subspace, null_space, column_space, QuotientSpace
-from .quiver import Arrow, Path, Quiver, paths_annihilated_by, paths_annihilating
+from .quiver import Arrow, MonomialIdeal, Path, Quiver, make_path, paths_annihilated_by, paths_annihilating
 
 __all__ = [
     "NotSource",
@@ -102,7 +105,7 @@ class TensorContext(bqa.Presentation):
 
     @cached_property
     def quiver(self) -> Quiver:
-        """The engine's quiver, built on first use: layered-only work never needs it."""
+        """The engine's quiver, built on first use."""
         base, factor = self.base, self.factor
         arrows = [
             Arrow(_at_branch(a.name, i), self.point(i, a.source), self.point(i, a.target))
@@ -139,6 +142,10 @@ class TensorContext(bqa.Presentation):
         word += tuple(_at_branch(a, fp.target) for a in bp.arrows)
         return Path(self.point(fp.source, bp.source), self.point(fp.target, bp.target), word)
 
+    def at_vertex(self, q: Path, v: int) -> Path:
+        """The engine word of factor path q acting at base vertex v."""
+        return self._word(q, self.base.quiver.trivial_path(v))
+
     def _act(self, path: Path, arrow: Arrow, before: bool) -> Path | None:
         """The basis word of ``arrow`` acting on ``path``, before or after it."""
         fp, bp = self._pair_of[path]
@@ -173,10 +180,6 @@ class TensorContext(bqa.Presentation):
             self._opposite = opp
         return self._opposite
 
-    def regular(self) -> "LayeredModule":
-        """The tensor algebra as a layered module over itself."""
-        return self.regular_module()
-
     def annihilated_by(self, arrow_name: str) -> list[Path]:
         if arrow_name not in self._annihilated:
             self._annihilated[arrow_name] = paths_annihilated_by(
@@ -204,7 +207,7 @@ class LayeredModule(Module):
     module the engine made.
     """
 
-    __slots__ = ("_branches", "_arrow_maps", "_qpath_cache")
+    __slots__ = ("_branches", "_arrow_maps")
 
     def __init__(
         self,
@@ -242,7 +245,6 @@ class LayeredModule(Module):
         self._path_cache = {}
         self._branches = tuple(branches)
         self._arrow_maps = dict(arrow_maps)
-        self._qpath_cache: dict[tuple[int, tuple[str, ...]], Hom] = {}
         if check:
             bad = self.violations()
             if bad:
@@ -255,7 +257,6 @@ class LayeredModule(Module):
         Module.__init__(x, context, dims, mats)
         x._branches = None
         x._arrow_maps = None
-        x._qpath_cache = {}
         return x
 
     @property
@@ -298,23 +299,9 @@ class LayeredModule(Module):
     def dim_table(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b.dims for b in self.branches)
 
-    def qpath_hom(self, source_vertex: int, arrows: tuple[str, ...]) -> Hom:
-        """Composite of arrow maps along a factor-arrow word (application order)."""
-        key = (source_vertex, arrows)
-        cached = self._qpath_cache.get(key)
-        if cached is not None:
-            return cached
-        if not arrows:
-            out = bqa.identity_hom(self.branch(source_vertex))
-        else:
-            first = self.context.factor.quiver.arrow(arrows[0])
-            rest = self.qpath_hom(first.target, arrows[1:])
-            out = rest @ self.arrow_maps[arrows[0]]
-        self._qpath_cache[key] = out
-        return out
-
-    def path_hom(self, path: Path) -> Hom:
-        return self.qpath_hom(path.source, path.arrows)
+    def factor_action(self, q: Path, v: int) -> FpMatrix:
+        """The action of factor path q at base vertex v: branch s(q) -> branch e(q)."""
+        return self.path_matrix(self.context.at_vertex(q, v))
 
     def violations(self) -> list[str]:
         """Branch relation failures, non-natural arrow maps, surviving generators."""
@@ -326,7 +313,7 @@ class LayeredModule(Module):
             if not self.arrow_maps[a.name].is_natural():
                 out.append(f"arrow {a.name}: map is not a base-module homomorphism")
         for g in self.context.factor.ideal.generators:
-            if not self.path_hom(g).is_zero():
+            if not all(self.factor_action(g, v).is_zero() for v in self.context.base.quiver.vertices):
                 out.append(f"factor relation {g} does not vanish")
         return out
 
@@ -350,17 +337,8 @@ class LayeredHom(Hom):
             part = parts[i - 1]
             if part.source != source.branch(i) or part.target != target.branch(i):
                 raise ValueError(f"part {i} endpoints do not match the branches")
-        # the parts are base-module homs with checked shapes; what is left to
-        # check is that they commute with the factor arrows
-        self.source = source
-        self.target = target
-        self.mats = tuple(m for part in parts for m in part.mats)
+        Hom.__init__(self, source, target, tuple(m for part in parts for m in part.mats), check)
         self._parts = tuple(parts)
-        if check:
-            for a in q.arrows:
-                lhs = target.arrow_maps[a.name] @ self.part(a.source)
-                if lhs != self.part(a.target) @ source.arrow_maps[a.name]:
-                    raise ValueError("layered hom does not commute with the arrow maps")
 
     @classmethod
     def from_points(cls, source: LayeredModule, target: LayeredModule, mats: tuple[FpMatrix, ...], check: bool = True) -> "LayeredHom":
@@ -385,21 +363,10 @@ class LayeredHom(Hom):
         return self.parts[i - 1]
 
 
-# The engine's constructions under the names tests and benchmark code call
-# on layered modules.
+# The engine's constructions under the names benchmark code calls on
+# layered modules.
 layered_hom_dim = bqa.hom_dim
-layered_projective_cover = bqa.projective_cover
-layered_resolve = bqa.resolve
 layered_ext_dims = bqa.ext_dims
-layered_semi_gp_cert = bqa.semi_gp_cert
-layered_gp_cert = bqa.gp_cert
-
-
-def layered_radical_subspaces(x: LayeredModule) -> list[list[Subspace]]:
-    """``bqa.radical_subspaces`` indexed [factor vertex - 1][base vertex - 1]."""
-    rads = bqa.radical_subspaces(x)
-    n = x.context.base.quiver.n
-    return [rads[k : k + n] for k in range(0, len(rads), n)]
 
 
 # -- branch functors ----------------------------------------------------------
@@ -490,29 +457,11 @@ class ClassPredicate:
     bound: int = 0
     targets: tuple[Module, ...] = ()
 
+    KINDS = ("ALL", "PROJ", "INJ", "GPROJ", "SEMI_GP", "PERP_OF")
+
     @classmethod
     def all_modules(cls) -> "ClassPredicate":
         return cls("ALL")
-
-    @classmethod
-    def projectives(cls) -> "ClassPredicate":
-        return cls("PROJ")
-
-    @classmethod
-    def injectives(cls) -> "ClassPredicate":
-        return cls("INJ")
-
-    @classmethod
-    def gproj(cls, bound: int) -> "ClassPredicate":
-        return cls("GPROJ", bound)
-
-    @classmethod
-    def semi_gp(cls, bound: int) -> "ClassPredicate":
-        return cls("SEMI_GP", bound)
-
-    @classmethod
-    def perp_of(cls, targets: list[Module], bound: int) -> "ClassPredicate":
-        return cls("PERP_OF", bound, tuple(targets))
 
     def accepts(self, m: Module) -> bool:
         if self.kind == "ALL":
@@ -583,7 +532,7 @@ def check_separated_monic(x: LayeredModule, pred: ClassPredicate) -> CheckResult
             ker = null_space(x.arrow_maps[a.name].mat(v))
             parts = [Subspace.zero(ctx.p, x.branch(a.source).dim(v))]
             for q in killers:
-                parts.append(column_space(x.path_hom(q).mat(v)))
+                parts.append(column_space(x.factor_action(q, v)))
             span = Subspace.sum_of(parts)
             if ker != span:
                 return CheckResult(
@@ -634,7 +583,7 @@ def check_separated_epic(x: LayeredModule, pred: ClassPredicate) -> CheckResult:
             ambient = x.branch(a.target).dim(v)
             meet = Subspace.full(ctx.p, ambient)
             for q in killers:
-                meet = meet.intersect(null_space(x.path_hom(q).mat(v)))
+                meet = meet.intersect(null_space(x.factor_action(q, v)))
             if im != meet:
                 return CheckResult(
                     False,
@@ -710,32 +659,26 @@ class Triple:
     relabel: dict[int, int]
     x_part: LayeredModule
     y_part: Module
-    rad_module: Module  # radical of P(source) restricted to the reduced factor
     rad_paths: list[Path]
     phi: LayeredHom
 
 
-def _reduced_context(ctx: TensorContext, n: int):
-    from .quiver import MonomialIdeal, make_path
+def _by_target(paths: list[Path], relabel: dict[int, int], reduced: TensorContext) -> dict[int, list[Path]]:
+    """The radical paths out of the source, grouped by the reduced vertex they end at."""
+    return {j: [q for q in paths if relabel[q.target] == j] for j in reduced.factor.quiver.vertices}
 
+
+def _source_layer(ctx: TensorContext, n: int) -> tuple[TensorContext, dict[int, int], list[Path], Module]:
+    """The reduced context (source n deleted), the relabelling of the kept
+    factor vertices, the radical paths out of n in basis order, and the
+    radical of P(n) as a module over the reduced factor."""
     quiver, relabel = ctx.factor.quiver.delete_vertex(n)
-    gens = [
-        make_path(quiver, g.arrows)
-        for g in ctx.factor.ideal.generators
-        if g.source != n
-    ]
-    ideal = MonomialIdeal(quiver, gens)
-    factor = Algebra(quiver, ideal, ctx.p, ctx.factor.cap)
-    return TensorContext(ctx.base, factor), relabel
-
-
-def _radical_restriction(reduced: TensorContext, paths: list[Path], relabel: dict[int, int]) -> Module:
-    """The radical of the deleted source's projective, as a reduced-factor module."""
-    factor = reduced.factor
-    by_vertex = {j: [q for q in paths if relabel[q.target] == j] for j in factor.quiver.vertices}
-    index = {
-        j: {q.arrows: t for t, q in enumerate(by_vertex[j])} for j in factor.quiver.vertices
-    }
+    gens = [make_path(quiver, g.arrows) for g in ctx.factor.ideal.generators if g.source != n]
+    factor = Algebra(quiver, MonomialIdeal(quiver, gens), ctx.p, ctx.factor.cap)
+    reduced = TensorContext(ctx.base, factor)
+    paths = sorted(q for q in ctx.factor.paths if q.source == n and q.length >= 1)
+    by_vertex = _by_target(paths, relabel, reduced)
+    index = {j: {q.arrows: t for t, q in enumerate(qs)} for j, qs in by_vertex.items()}
     dims = tuple(len(by_vertex[j]) for j in factor.quiver.vertices)
     mats = {}
     for a in factor.quiver.arrows:
@@ -746,7 +689,7 @@ def _radical_restriction(reduced: TensorContext, paths: list[Path], relabel: dic
             if row is not None:
                 mat[row, col] = 1
         mats[a.name] = FpMatrix(factor.p, mat)
-    return Module(factor, dims, mats)
+    return reduced, relabel, paths, Module(factor, dims, mats)
 
 
 def split_at_source(x: LayeredModule, n: int) -> Triple:
@@ -754,7 +697,7 @@ def split_at_source(x: LayeredModule, n: int) -> Triple:
     ctx = x.context
     if n not in ctx.factor.quiver.source_vertices():
         raise NotSource(f"vertex {n} is not a source of the factor quiver")
-    reduced, relabel = _reduced_context(ctx, n)
+    reduced, relabel, rad_paths, rad_module = _source_layer(ctx, n)
     inverse = {new: old for old, new in relabel.items()}
     branches = tuple(x.branch(inverse[j]) for j in reduced.factor.quiver.vertices)
     maps = {}
@@ -762,25 +705,17 @@ def split_at_source(x: LayeredModule, n: int) -> Triple:
         maps[a.name] = x.arrow_maps[a.name]
     x_part = LayeredModule(reduced, branches, maps, check=False)
     y = x.branch(n)
-    rad_paths = sorted(q for q in ctx.factor.paths if q.source == n and q.length >= 1)
-    rad_module = _radical_restriction(reduced, rad_paths, relabel)
     phi_source = tensor(reduced, y, rad_module)
-    by_vertex = {
-        j: [q for q in rad_paths if relabel[q.target] == j]
-        for j in reduced.factor.quiver.vertices
-    }
+    by_vertex = _by_target(rad_paths, relabel, reduced)
     parts = []
     for j in reduced.factor.quiver.vertices:
-        blocks = [x.path_hom(q) for q in by_vertex[j]]
         mats = []
         for v in ctx.base.quiver.vertices:
-            mats.append(
-                FpMatrix.hstack(ctx.p, x_part.branch(j).dim(v), [b.mat(v) for b in blocks])
-            )
+            actions = [x.factor_action(q, v) for q in by_vertex[j]]
+            mats.append(FpMatrix.hstack(ctx.p, x_part.branch(j).dim(v), actions))
         parts.append(Hom(phi_source.branch(j), x_part.branch(j), tuple(mats)))
     phi = LayeredHom(phi_source, x_part, tuple(parts))
-    return Triple(ctx, n, reduced, relabel, x_part, y, rad_module, rad_paths, phi)
-
+    return Triple(ctx, n, reduced, relabel, x_part, y, rad_paths, phi)
 
 
 def assemble(t: Triple) -> LayeredModule:
@@ -790,10 +725,7 @@ def assemble(t: Triple) -> LayeredModule:
     branches: list[Module] = []
     for old in ctx.factor.quiver.vertices:
         branches.append(t.y_part if old == n else t.x_part.branch(t.relabel[old]))
-    by_vertex = {
-        j: [q for q in t.rad_paths if t.relabel[q.target] == j]
-        for j in t.reduced.factor.quiver.vertices
-    }
+    by_vertex = _by_target(t.rad_paths, t.relabel, t.reduced)
     maps: dict[str, Hom] = {}
     for a in ctx.factor.quiver.arrows:
         if a.source != n:
@@ -932,17 +864,13 @@ def build_approximation_triple(u: Module, r: int) -> Triple:
     """
     if r < 1:
         raise ValueError("the Kronecker factor needs at least one arrow")
-    from .quiver import Arrow, MonomialIdeal, Quiver
-
     base = u.algebra
     quiver = Quiver(2, [Arrow(f"k{s+1}", 2, 1) for s in range(r)], acyclic=True)
     factor = Algebra(quiver, MonomialIdeal(quiver, []), base.p)
     ctx = TensorContext(base, factor)
     phi = bqa.left_projective_approximation(u)
     proj = phi.target
-    reduced, relabel = _reduced_context(ctx, 2)
-    rad_paths = sorted(q for q in factor.paths if q.source == 2 and q.length >= 1)
-    rad_module = _radical_restriction(reduced, rad_paths, relabel)
+    reduced, relabel, rad_paths, rad_module = _source_layer(ctx, 2)
     x_sum = bqa.direct_sum([proj] * r)
     x_part = LayeredModule(reduced, (x_sum.module,), {}, check=False)
     phi_source = tensor(reduced, u, rad_module)
@@ -954,76 +882,54 @@ def build_approximation_triple(u: Module, r: int) -> Triple:
         x_part,
         (Hom(phi_source.branch(1), x_part.branch(1), tuple(mats)),),
     )
-    return Triple(ctx, 2, reduced, relabel, x_part, u, rad_module, rad_paths, connecting)
+    return Triple(ctx, 2, reduced, relabel, x_part, u, rad_paths, connecting)
 
 
 # -- extensions and random layered modules ---------------------------------------
 
 
-def extension_space(sub: LayeredModule, quo: LayeredModule) -> tuple[Subspace, np.ndarray]:
-    """Cocycle data for extensions of ``quo`` by ``sub``.
+def extension_space(sub: LayeredModule, quo: LayeredModule) -> Subspace:
+    """Cocycles for extensions of ``quo`` by ``sub``.
 
-    Returns the solution subspace together with the per-(arrow, vertex)
-    block offsets; every member produces arrow maps
-    [[sub_a, c_a], [0, quo_a]] satisfying all ideal relations.
+    A cocycle lists each c_a, a base-module hom quo_{s(a)} -> sub_{e(a)},
+    in the engine's blocked Hom layout, arrow by arrow; every member
+    produces arrow maps [[sub_a, c_a], [0, quo_a]] satisfying all ideal
+    relations.
     """
     ctx = sub.context
     p = ctx.p
     arrows = ctx.factor.quiver.arrows
-    sizes = []
-    for a in arrows:
-        for v in ctx.base.quiver.vertices:
-            sizes.append(sub.branch(a.target).dim(v) * quo.branch(a.source).dim(v))
+    verts = ctx.base.quiver.vertices
+    sizes = [sub.branch(a.target).dim(v) * quo.branch(a.source).dim(v) for a in arrows for v in verts]
     offs = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
     total = int(offs[-1])
-    arrow_slot = {a.name: k for k, a in enumerate(arrows)}
-    nv = ctx.base.quiver.n
+    first = {a.name: k * len(verts) for k, a in enumerate(arrows)}
 
-    def slot(name: str, v: int) -> int:
-        return arrow_slot[name] * nv + (v - 1)
+    def col(name: str, v: int) -> int:
+        return int(offs[first[name] + v - 1])
 
     blocks = []
     # each c_a must be a base-module hom
     for a in arrows:
-        sm, qm = sub.branch(a.target), quo.branch(a.source)
-        for ba in ctx.base.quiver.arrows:
-            s, e = ba.source, ba.target
-            rows = sm.dim(e) * qm.dim(s)
-            if rows == 0:
-                continue
-            block = np.zeros((rows, total), dtype=np.int64)
-            so = offs[slot(a.name, s)]
-            block[:, so : so + sm.dim(s) * qm.dim(s)] = np.kron(
-                sm.mats[ba.name].data, np.eye(qm.dim(s), dtype=np.int64)
-            )
-            eo = offs[slot(a.name, e)]
-            block[:, eo : eo + sm.dim(e) * qm.dim(e)] = (
-                block[:, eo : eo + sm.dim(e) * qm.dim(e)]
-                - np.kron(np.eye(sm.dim(e), dtype=np.int64), qm.mats[ba.name].data.T)
-            ) % p
-            blocks.append(block)
+        nat = bqa._naturality_rows(quo.branch(a.source), sub.branch(a.target))
+        block = np.zeros((nat.shape[0], total), dtype=np.int64)
+        block[:, col(a.name, 1) : col(a.name, 1) + nat.shape[1]] = nat
+        blocks.append(block)
     # the twisted action must keep killing the ideal generators
     for g in ctx.factor.ideal.generators:
         word = g.arrows
-        src_branch = quo.branch(g.source)
-        tgt_branch = sub.branch(g.target)
-        for v in ctx.base.quiver.vertices:
-            rows = tgt_branch.dim(v) * src_branch.dim(v)
-            if rows == 0:
-                continue
+        for v in verts:
+            rows = sub.branch(g.target).dim(v) * quo.branch(g.source).dim(v)
             block = np.zeros((rows, total), dtype=np.int64)
-            for tpos in range(len(word)):
-                arrow = ctx.factor.quiver.arrow(word[tpos])
-                prefix = quo.qpath_hom(g.source, word[:tpos]).mat(v).data
-                suffix = sub.qpath_hom(arrow.target, word[tpos + 1 :]).mat(v).data
-                so = offs[slot(arrow.name, v)]
-                width = sub.branch(arrow.target).dim(v) * quo.branch(arrow.source).dim(v)
-                block[:, so : so + width] = (
-                    block[:, so : so + width] + np.kron(suffix, prefix.T)
-                ) % p
+            for t, name in enumerate(word):
+                a = ctx.factor.quiver.arrow(name)
+                prefix = quo.factor_action(Path(g.source, a.source, word[:t]), v).data
+                suffix = sub.factor_action(Path(a.target, g.target, word[t + 1 :]), v).data
+                term = np.kron(suffix, prefix.T)
+                block[:, col(name, v) : col(name, v) + term.shape[1]] += term
             blocks.append(block)
     rows = np.concatenate(blocks, axis=0) % p if blocks else np.zeros((0, total), dtype=np.int64)
-    return null_space(FpMatrix(p, rows)), offs
+    return null_space(FpMatrix(p, rows))
 
 
 def extension_module(sub: LayeredModule, quo: LayeredModule, cocycle: np.ndarray) -> LayeredModule:

@@ -126,8 +126,8 @@ def test_criterion_5_smon_perp(contexts):
         reports.append(run_suite("smon-perp", cfg))
     # the planted fixture set, classified on both sides explicitly
     ctx = contexts[0]
-    da = bqa.dual_module(ctx.base.opposite().regular().module)
-    cog = tensor(ctx, da, ctx.factor.regular().module)
+    da = bqa.dual_module(ctx.base.opposite().regular_module())
+    cog = tensor(ctx, da, ctx.factor.regular_module())
 
     def perp(x):
         return not any(layered.layered_ext_dims(x, cog, 8)[1:])
@@ -138,7 +138,7 @@ def test_criterion_5_smon_perp(contexts):
         fixtures_ok &= layered.check_separated_monic(pos, ALL).passed and perp(pos)
     neg = tensor(ctx, ctx.base.simple(1), ctx.factor.simple(2))
     fixtures_ok &= (not layered.check_separated_monic(neg, ALL).passed) and (not perp(neg))
-    space, _ = layered.extension_space(
+    space = layered.extension_space(
         tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3)),
         tensor(ctx, ctx.base.projective(1), ctx.factor.projective(2)),
     )
@@ -174,7 +174,7 @@ def test_criterion_6_gproj_criterion(contexts):
         (tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3)), True),
         (tensor(ctx, ctx.base.simple(1), ctx.factor.simple(2)), False),
     ):
-        direct = layered.layered_gp_cert(x, 8).certified
+        direct = bqa.gp_cert(x, 8).certified
         split = layered.check_separated_monic(x, ALL).passed and all(
             bqa.gp_cert(layered.branch_cokernel(x, i).module, 8).certified
             for i in ctx.factor.quiver.vertices

@@ -180,14 +180,14 @@ def test_syzygy_of_projective_vanishes(chain3):
 def test_ext_dual_numbers_periodicity(dual_numbers):
     s = dual_numbers.simple(1)
     assert ext_dims(s, s, 5) == [1, 1, 1, 1, 1, 1]
-    reg = dual_numbers.regular().module
+    reg = dual_numbers.regular_module()
     assert ext_dims(s, reg, 5) == [1, 0, 0, 0, 0, 0]
 
 
 def test_ext_chain_values(chain3):
     s3, s2 = chain3.simple(3), chain3.simple(2)
     assert ext_dims(s3, s2, 3) == [0, 1, 0, 0]
-    reg = chain3.regular().module
+    reg = chain3.regular_module()
     assert ext_dims(s2, reg, 3)[1] == 1
 
 
@@ -204,7 +204,7 @@ def test_ext_degree_zero_is_hom(chain3, dual_numbers):
 def test_ext_resolution_independent(chain3):
     # recompute through a non-minimal resolution padded with an extra summand
     s3 = chain3.simple(3)
-    reg = chain3.regular().module
+    reg = chain3.regular_module()
     minimal = ext_dims(s3, reg, 4)
     padded = ext_dims(s3, reg, 4, resolution=resolve(s3, 5, pad_vertex=1))
     assert minimal == padded
@@ -476,7 +476,7 @@ def test_double_star_of_projectives_is_identity_like(chain3):
 def test_hom_from_regular_is_underlying_space(chain3, dual_numbers):
     # Hom(A, M) picks out M itself; an independent check on the hom solver
     for alg in (chain3, dual_numbers):
-        reg = alg.regular().module
+        reg = alg.regular_module()
         for seed in range(3):
             m = random_module(alg, 3, seed)
             assert hom_dim(reg, m) == m.total_dim

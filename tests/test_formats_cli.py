@@ -162,6 +162,20 @@ def test_cli_smon_sepi_tensor_split(workdir, chain3, ground_field):
     assert proc.returncode == 0 and "round-trip: exact" in proc.stdout
 
 
+def test_cli_predicate_kinds_match_the_library(workdir, chain3, a2):
+    tmp, files = workdir
+    ctx = layered.TensorContext(chain3, a2)
+    x = layered.tensor(ctx, chain3.simple(3), a2.projective(2))
+    (tmp / "s3.rep").write_text(formats.serialize_layered(x, "q3.alg"))
+    for pred in ("ALL", "PROJ", "INJ", "GPROJ", "semi-gp"):
+        proc = run_cli(["smon", "s3.rep", "--pred", pred, "--bound", "6"], tmp)
+        want = layered.check_separated_monic(x, layered.ClassPredicate(pred.upper().replace("-", "_"), 6))
+        assert proc.stdout.strip() == want.render()
+        assert proc.returncode == (0 if want.passed else 1)
+    proc = run_cli(["smon", "s3.rep", "--pred", "NOPE"], tmp)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: unknown predicate")
+
+
 def test_cli_unknown_suite_usage_error(workdir):
     tmp, files = workdir
     proc = run_cli(["suite", "nope", str(files["kx2"]), str(files["q3"])], tmp)
@@ -247,6 +261,10 @@ MALFORMED = [
     ["check", "nocount.lay"],
     ["check", "nobranch.lay"],
     ["check", "negdims.mod"],
+    ["tensor", "S3.mod", "S3f3.mod"],
+    ["suite", "ce", "q3.alg", "q3f3.alg"],
+    ["suite", "ce", "empty.alg", "a2.alg"],
+    ["suite", "ce", "q3.alg", "empty.alg"],
 ]
 
 
@@ -261,6 +279,10 @@ def test_cli_malformed_input_is_a_usage_error(workdir, chain3, a2, args):
     (tmp / "p4.alg").write_text(files["q3"].read_text().replace("prime 2", "prime 4"))
     (tmp / "S3.mod").write_text(formats.serialize_module(chain3.simple(3), "q3.alg"))
     (tmp / "S2.mod").write_text(formats.serialize_module(chain3.simple(2), "q3.alg"))
+    # a base and a factor over different primes, and an algebra with no vertices
+    (tmp / "q3f3.alg").write_text(files["q3"].read_text().replace("prime 2", "prime 3"))
+    (tmp / "S3f3.mod").write_text(formats.serialize_module(chain3.simple(3), "q3f3.alg"))
+    (tmp / "empty.alg").write_text("smonkit-algebra v1\nprime 2\nvertices 0\n")
     (tmp / "nocount.alg").write_text("smonkit-algebra v1\nprime 2\nvertices\n")
     quiver = "smonkit-layered v1\nbase q3.alg\nquiver\nvertices{}\nendquiver\n"
     (tmp / "nocount.lay").write_text(quiver.format(""))

@@ -143,10 +143,10 @@ def test_submodule_pairs_certify_gp(big_nakayama):
         pair = submodule_pair(ctx, incl)
         assert pair.violations() == []
         assert layered.check_separated_monic(pair, layered.ClassPredicate.all_modules()).passed
-        assert layered.layered_gp_cert(pair, 8).certified
+        assert bqa.gp_cert(pair, 8).certified
     # a pair whose quotient leaves the core is not Gorenstein-projective
     off = submodule_pair(ctx, harness.radical_power_inclusion(core_module, 1))
-    assert not layered.layered_gp_cert(off, 8).certified
+    assert not bqa.gp_cert(off, 8).certified
 
 
 def test_nakayama_suite_small(dual_numbers):
@@ -231,4 +231,4 @@ def test_core_pair_over_headline_tensor_algebra(big_nakayama):
     ctx = layered.TensorContext(big_nakayama, harness.algebra_line(2))
     core = uniserial(big_nakayama, 2, 12)
     pair = submodule_pair(ctx, harness.radical_power_inclusion(core, 6))
-    assert layered.layered_gp_cert(pair, 8).certified
+    assert bqa.gp_cert(pair, 8).certified

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smonkit import bqa, harness, layered
+from smonkit.bqa import ShapeMismatch
+from smonkit.exactla import FpMatrix, null_space
 from smonkit.layered import (
     ClassPredicate,
+    LayeredHom,
     LayeredModule,
     NotSource,
     adjunction_check,
@@ -24,11 +27,7 @@ from smonkit.layered import (
     extension_module,
     extension_space,
     layered_ext_dims,
-    layered_gp_cert,
     layered_hom_dim,
-    layered_projective_cover,
-    layered_radical_subspaces,
-    layered_semi_gp_cert,
     outgoing_kernel,
     random_layered,
     split_at_source,
@@ -181,12 +180,13 @@ def test_smon_with_class_predicates(ctx_chain3_a2):
     ctx = ctx_chain3_a2
     # branch cokernels of m (x) P(i) are m or 0; pick m projective vs not
     proj_x = tensor(ctx, ctx.base.projective(2), ctx.factor.projective(2))
-    assert check_separated_monic(proj_x, ClassPredicate.projectives()).passed
+    assert check_separated_monic(proj_x, ClassPredicate("PROJ")).passed
     s3_x = tensor(ctx, ctx.base.simple(3), ctx.factor.projective(2))
-    res = check_separated_monic(s3_x, ClassPredicate.gproj(6))
+    res = check_separated_monic(s3_x, ClassPredicate("GPROJ", 6))
     assert not res.passed and res.condition == "m3"
-    assert check_separated_monic(s3_x, ClassPredicate.perp_of([ctx.base.regular().module], 6)).passed is False
-    assert check_separated_monic(proj_x, ClassPredicate.semi_gp(6)).passed
+    perp = ClassPredicate("PERP_OF", 6, (ctx.base.regular_module(),))
+    assert check_separated_monic(s3_x, perp).passed is False
+    assert check_separated_monic(proj_x, ClassPredicate("SEMI_GP", 6)).passed
 
 
 # -- layered homological algebra ---------------------------------------------------------
@@ -197,7 +197,7 @@ def test_layered_cover_of_tensor_simple(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     m = ctx.base.simple(1)
     x = tensor(ctx, m, ctx.factor.simple(3))
-    cover = layered_projective_cover(x)
+    cover = bqa.projective_cover(x)
     assert cover.formal.pairs == ((1, 3),)
 
 
@@ -251,12 +251,12 @@ def test_layered_resolution_minimality(ctx_dual_chain3):
 
     ctx = ctx_dual_chain3
     x = random_layered(ctx, 3, 11)
-    res = layered.layered_resolve(x, 3)
+    res = bqa.resolve(x, 3)
     for d in res.diffs:
-        rads = layered_radical_subspaces(d.target)
+        rads = bqa.radical_subspaces(d.target)
         for i in ctx.factor.quiver.vertices:
             for v in ctx.base.quiver.vertices:
-                assert rads[i - 1][v - 1].contains(column_space(d.part(i).mat(v)))
+                assert rads[ctx.point(i, v) - 1].contains(column_space(d.part(i).mat(v)))
 
 
 # -- adjunction ---------------------------------------------------------------------------
@@ -346,20 +346,20 @@ def test_dual_of_tensor_projective_is_injective_like(ctx_k_chain3):
 def test_layered_gp_certificates(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     proj = tensor(ctx, ctx.base.projective(1), ctx.factor.projective(3))
-    assert layered_gp_cert(proj, 6).certified
+    assert bqa.gp_cert(proj, 6).certified
     # base simple is GP over the dual numbers, so S (x) P(i) stays certified
     sx = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(2))
-    assert layered_gp_cert(sx, 6).certified
+    assert bqa.gp_cert(sx, 6).certified
     neg = tensor(ctx, ctx.base.simple(1), ctx.factor.simple(2))
-    assert layered_semi_gp_cert(neg, 6).refuted
-    assert layered_gp_cert(neg, 6).refuted
+    assert bqa.semi_gp_cert(neg, 6).refuted
+    assert bqa.gp_cert(neg, 6).refuted
 
 
 def test_layered_gp_agrees_with_split_criterion(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     for seed in range(6):
         x = random_layered(ctx, 3, 100 + seed)
-        direct = layered_gp_cert(x, 6).certified
+        direct = bqa.gp_cert(x, 6).certified
         split = check_separated_monic(x, ALL).passed and all(
             bqa.gp_cert(branch_cokernel(x, i).module, 6).certified
             for i in ctx.factor.quiver.vertices
@@ -452,7 +452,7 @@ def test_extension_closure_of_smon(ctx_dual_chain3):
     rng = np.random.default_rng(17)
     x = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3))
     y = tensor(ctx, ctx.base.projective(1), ctx.factor.projective(2))
-    space, _ = extension_space(x, y)
+    space = extension_space(x, y)
     for _ in range(4):
         coeffs = rng.integers(0, ctx.p, size=space.dim)
         e = extension_module(x, y, (coeffs @ space.basis.data) % ctx.p)
@@ -479,8 +479,8 @@ def test_random_layered_properties(ctx_dual_chain3):
 @given(st.integers(0, 10_000))
 def test_smon_iff_perp_sampled(ctx_dual_chain3, seed):
     ctx = ctx_dual_chain3
-    da = bqa.dual_module(ctx.base.opposite().regular().module)
-    cog = tensor(ctx, da, ctx.factor.regular().module)
+    da = bqa.dual_module(ctx.base.opposite().regular_module())
+    cog = tensor(ctx, da, ctx.factor.regular_module())
     x = random_layered(ctx, 3, seed)
     smon = check_separated_monic(x, ALL).passed
     perp = not any(layered_ext_dims(x, cog, 8)[1:])
@@ -540,7 +540,7 @@ def test_extension_is_short_exact(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     subm = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3))
     quom = tensor(ctx, ctx.base.projective(1), ctx.factor.projective(2))
-    space, _ = extension_space(subm, quom)
+    space = extension_space(subm, quom)
     co = (np.ones(space.dim, dtype=np.int64) @ space.basis.data) % ctx.p
     e = extension_module(subm, quom, co)
     incl_parts, proj_parts = [], []
@@ -557,10 +557,114 @@ def test_extension_is_short_exact(ctx_dual_chain3):
 
 def test_hom_from_layered_regular_is_underlying_space(ctx_dual_chain3):
     ctx = ctx_dual_chain3
-    reg = ctx.regular()
+    reg = ctx.regular_module()
     for seed in range(3):
         x = random_layered(ctx, 3, seed)
         assert layered_hom_dim(reg, x) == x.total_dim
     ev = bqa.evaluation_map(reg)
     assert ev.is_bijective()
     assert bqa.star_module(reg).total_dim == reg.total_dim
+
+
+# -- the engine's readings against multiplied-out references ---------------------------------
+
+
+def _sampled_contexts(p):
+    """Both stock contexts over F_p, each with six sampled layered modules."""
+    rng = np.random.default_rng(90 + p)
+    for base, factor in (("kx2", "chain3"), ("chain3", "a2")):
+        ctx = harness.standard_context(base, factor, p=p)
+        yield ctx, [harness.sample_layered_mixed(ctx, rng, 3)[0] for _ in range(6)]
+
+
+def _composite(x, start, word, v):
+    """A factor word's action at base vertex v, multiplied out from the arrow maps."""
+    mat = np.eye(x.branch(start).dim(v), dtype=np.int64)
+    for name in word:
+        mat = (x.arrow_maps[name].mat(v).data @ mat) % x.context.p
+    return mat
+
+
+def _kron_extension_rows(sub, quo):
+    """The cocycle system of extension_space built from Kronecker products."""
+    ctx = sub.context
+    slots = [(a, v) for a in ctx.factor.quiver.arrows for v in ctx.base.quiver.vertices]
+    offs = np.cumsum([0] + [sub.branch(a.target).dim(v) * quo.branch(a.source).dim(v) for a, v in slots])
+    at = {(a.name, v): int(offs[k]) for k, (a, v) in enumerate(slots)}
+    total = int(offs[-1])
+    blocks = [np.zeros((0, total), dtype=np.int64)]
+    for a in ctx.factor.quiver.arrows:
+        sm, qm = sub.branch(a.target), quo.branch(a.source)
+        for ba in ctx.base.quiver.arrows:
+            s, e = ba.source, ba.target
+            block = np.zeros((sm.dim(e) * qm.dim(s), total), dtype=np.int64)
+            so, eo = at[a.name, s], at[a.name, e]
+            left = np.kron(sm.mats[ba.name].data, np.eye(qm.dim(s), dtype=np.int64))
+            right = np.kron(np.eye(sm.dim(e), dtype=np.int64), qm.mats[ba.name].data.T)
+            block[:, so : so + left.shape[1]] += left
+            block[:, eo : eo + right.shape[1]] -= right
+            blocks.append(block)
+    for g in ctx.factor.ideal.generators:
+        for v in ctx.base.quiver.vertices:
+            block = np.zeros((sub.branch(g.target).dim(v) * quo.branch(g.source).dim(v), total), dtype=np.int64)
+            for t, name in enumerate(g.arrows):
+                b = ctx.factor.quiver.arrow(name)
+                prefix = _composite(quo, g.source, g.arrows[:t], v)
+                suffix = _composite(sub, b.target, g.arrows[t + 1 :], v)
+                o = at[name, v]
+                block[:, o : o + suffix.shape[1] * prefix.shape[0]] += np.kron(suffix, prefix.T)
+            blocks.append(block)
+    return np.concatenate(blocks, axis=0) % ctx.p
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_factor_action_matches_composed_arrow_maps(p):
+    for ctx, xs in _sampled_contexts(p):
+        paths = list(ctx.factor.paths) + list(ctx.factor.ideal.generators)
+        for x in xs:
+            for q in paths:
+                for v in ctx.base.quiver.vertices:
+                    got = x.factor_action(q, v)
+                    assert got.p == p
+                    assert np.array_equal(got.data, _composite(x, q.source, q.arrows, v))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_extension_space_matches_kron_system(p):
+    nonzero = 0
+    for ctx, xs in _sampled_contexts(p):
+        for sub in xs:
+            for quo in xs:
+                space = extension_space(sub, quo)
+                ref = null_space(FpMatrix(p, _kron_extension_rows(sub, quo)))
+                assert space == ref
+                assert np.array_equal(space.basis.data, ref.basis.data)
+                nonzero += space.dim > 0
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_layered_hom_checks_the_factor_arrows(p):
+    moved = 0
+    for ctx, xs in _sampled_contexts(p):
+        for x in xs:
+            ident = tuple(bqa.identity_hom(b) for b in x.branches)
+            assert LayeredHom(x, x, ident, check=True).is_natural()
+            arrow = next((a for a in ctx.factor.quiver.arrows if not x.arrow_maps[a.name].is_zero()), None)
+            if arrow is None:
+                continue
+            moved += 1
+            for c in range(p):
+                if c == 1:
+                    continue
+                # c times the identity on one branch is a base-module hom, but
+                # it does not commute with the nonzero map of the arrow into it
+                parts = list(ident)
+                target = x.branch(arrow.target)
+                parts[arrow.target - 1] = bqa.Hom(
+                    target, target, tuple(FpMatrix(p, c * np.eye(d, dtype=np.int64)) for d in target.dims)
+                )
+                with pytest.raises(ShapeMismatch):
+                    LayeredHom(x, x, tuple(parts), check=True)
+                assert not LayeredHom(x, x, tuple(parts), check=False).is_natural()
+    assert moved > 0
