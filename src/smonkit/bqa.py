@@ -13,7 +13,7 @@ not depend on them, and projectives are built from the basis words.
 A module assigns a vector space over F_p to each point and a matrix to
 each arrow; a hom is a point-indexed family of matrices intertwining the
 arrow actions.  On top of the abelian-category plumbing (kernels,
-cokernels, images, direct sums) the engine provides radicals and tops,
+cokernels, direct sums) the engine provides radicals and tops,
 minimal projective covers, syzygies and resolutions, Ext dimensions from
 Hom complexes, vector-space duality, the Hom(-, algebra) star with its
 evaluation map, torsionless/reflexivity tests, and bounded
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactla import FpMatrix, Subspace, null_space, column_space, rows_array, solve, solve_many, validate_prime
+from .exactla import FpMatrix, Subspace, null_space, column_space, rows_array, solve, validate_prime
 from .quiver import (
     Arrow,
     MonomialIdeal,
@@ -51,7 +51,6 @@ __all__ = [
     "hom_space",
     "kernel",
     "cokernel",
-    "image",
     "direct_sum",
     "check_module",
     "radical",
@@ -487,7 +486,7 @@ def hom_dim(m: Module, n: Module) -> int:
     return hom_space(m, n).dim
 
 
-# -- kernels, cokernels, images, sums ----------------------------------------
+# -- kernels, cokernels, sums ------------------------------------------------
 
 
 class KernelPair(NamedTuple):
@@ -499,12 +498,6 @@ class CokernelPair(NamedTuple):
     module: Module
     projection: Hom
     sections: tuple[FpMatrix, ...]
-
-
-class ImageData(NamedTuple):
-    module: Module
-    inclusion: Hom
-    corestriction: Hom
 
 
 class DirectSum(NamedTuple):
@@ -557,16 +550,6 @@ def cokernel(f: Hom) -> CokernelPair:
     return CokernelPair(coker, alg.hom(f.target, coker, tuple(projs)), tuple(secs))
 
 
-def image(f: Hom) -> ImageData:
-    alg = f.source.algebra
-    spaces = [column_space(f.mat(v)) for v in alg.quiver.vertices]
-    sub, incl = _submodule_from_subspaces(f.target, spaces)
-    cores = []
-    for v in alg.quiver.vertices:
-        cores.append(FpMatrix(alg.p, _coords_cols(spaces[v - 1], f.mat(v).data)))
-    return ImageData(sub, incl, alg.hom(f.source, sub, tuple(cores)))
-
-
 def direct_sum(mods: list[Module]) -> DirectSum:
     if not mods:
         raise ValueError("direct_sum needs at least one summand")
@@ -604,19 +587,9 @@ def hom_from_columns(summands: DirectSum, target: Module, blocks: list[Hom]) -> 
     return target.algebra.hom(summands.module, target, tuple(mats))
 
 
-def factor_through_mono(mono: Hom, g: Hom) -> Hom:
-    """The unique u with mono . u = g, for injective mono with im(g) inside im(mono)."""
-    mats = []
-    for v in g.source.algebra.quiver.vertices:
-        sol = solve_many(mono.mat(v), g.mat(v).data)
-        if sol is None:
-            raise ValueError("map does not factor through the submodule")
-        mats.append(FpMatrix(g.source.algebra.p, sol))
-    return g.source.algebra.hom(g.source, mono.source, tuple(mats))
-
-
 def lift_through_epi(epi: Hom, g: Hom) -> Hom:
-    """Some hom u with epi . u = g; exists whenever g's source is projective.
+    """Some hom u with epi . u = g; exists whenever g's source is projective
+    and epi's image contains g's image (epi need not be onto).
 
     Solved as one linear system combining the naturality equations with the
     composition constraint.
@@ -1032,20 +1005,6 @@ def left_projective_approximation(m: Module) -> Hom:
     eps_star = _star_hom(cover.epi, cov_bases, b2, cov_star, star2)
     ev = _evaluation_against(m, star1, b1, star2, b2)
     return eps_star @ ev
-
-
-def is_left_projective_approximation(phi: Hom) -> bool:
-    """Whether precomposition with phi surjects Hom(target, A) onto Hom(source, A)."""
-    alg = phi.source.algebra
-    reg = alg.regular_module()
-    src_basis = hom_space(phi.source, reg)
-    tgt_basis = hom_space(phi.target, reg)
-    if src_basis.dim == 0:
-        return True
-    cols = np.zeros((src_basis.space.ambient, tgt_basis.dim), dtype=np.int64)
-    for j, g in enumerate(tgt_basis.homs()):
-        cols[:, j] = _vec(g @ phi)
-    return FpMatrix(alg.p, cols).rank() == src_basis.dim
 
 
 # -- certificates -------------------------------------------------------------

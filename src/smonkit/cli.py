@@ -299,9 +299,6 @@ def cmd_suite(args) -> int:
             raise CliError(f"suite {args.name} takes a base and a factor algebra file")
         base = _load_algebra_cached(args.context[0], args.prime)
         factor = _load_algebra_cached(args.context[1], args.prime, acyclic=True)
-        for path, alg in zip(args.context, (base, factor)):
-            if alg.quiver.n == 0:
-                raise CliError(f"{path}: suite {args.name} needs an algebra with at least one vertex")
         ctx = TensorContext(base, factor)
         cfg = harness.SuiteConfig(
             context=ctx,
@@ -421,6 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         exactla.PrimeMismatch,
         harness.NotNakayama,
         harness.NoSuchInstance,
+        harness.BadContext,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

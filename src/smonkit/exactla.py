@@ -28,7 +28,6 @@ __all__ = [
     "PrimeMismatch",
     "FpMatrix",
     "Subspace",
-    "QuotientSpace",
     "null_space",
     "column_space",
     "solve",
@@ -383,33 +382,6 @@ class Subspace:
         for j, c in enumerate(nonpiv):
             sec[c, j] = 1
         return proj, FpMatrix._of(p, sec)
-
-
-class QuotientSpace:
-    """Coordinates on Z / B for nested subspaces B <= Z of the same ambient."""
-
-    __slots__ = ("p", "ambient", "dim", "reps", "_sub", "_reduced")
-
-    def __init__(self, big: Subspace, small: Subspace) -> None:
-        if big.ambient != small.ambient:
-            raise AmbientMismatch(f"{small.ambient} != {big.ambient}")
-        if not big.contains(small):
-            raise ValueError("quotient requires the second subspace inside the first")
-        self.p = big.p
-        self.ambient = big.ambient
-        reduced = [small.reduce(row) for row in big.basis.data]
-        if reduced:
-            rows = np.array(reduced, dtype=np.int64)
-        else:
-            rows = np.zeros((0, big.ambient), dtype=np.int64)
-        self._reduced = Subspace.from_spanning(big.p, big.ambient, rows)
-        self._sub = small
-        self.dim = self._reduced.dim
-        self.reps = [row.copy() for row in self._reduced.basis.data]
-
-    def coords(self, vec) -> np.ndarray:
-        """Coordinates of the class of ``vec``; raises if vec is outside Z."""
-        return self._reduced.coords(self._sub.reduce(vec))
 
 
 def rows_array(rows: list, ambient: int) -> np.ndarray:

@@ -14,9 +14,9 @@ and independent of execution order.
 
 One documented limitation (mirroring an open question): no non-torsionless
 semi-Gorenstein-projective module is known inside the monomial algebra
-class, so the approximation-triple pipeline cannot plant a genuine
-counterexample witness; the triangular suite validates the construction's
-mechanical postconditions instead and accepts caller-supplied modules.
+class, so ``layered.build_approximation_triple`` cannot plant a genuine
+counterexample witness; it takes caller-supplied modules, and no suite
+calls it (the triangular suite splits sampled modules instead).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .quiver import Arrow, MonomialIdeal, Quiver, make_path
 
 __all__ = [
     "NotNakayama",
+    "BadContext",
     "SuiteConfig",
     "SuiteReport",
     "InstanceRecord",
@@ -71,6 +72,11 @@ class NotNakayama(ValueError):
 
 class NoSuchInstance(ValueError):
     """``only_instance`` names no instance of the suite."""
+
+
+class BadContext(ValueError):
+    """A suite has nothing to run over: no algebra (nakayama), no context,
+    or a base or factor algebra with no vertices."""
 
 
 # -- stock algebras and contexts --------------------------------------------------
@@ -465,10 +471,7 @@ def suite_triangular(cfg: SuiteConfig) -> SuiteReport:
     samples; when the base looks weakly Gorenstein on the sample, the
     sharpened monomorphism consequences are asserted as well."""
     ctx = cfg.context
-    sources = ctx.factor.quiver.source_vertices()
-    if not sources:
-        raise ValueError("triangular suite needs a factor source vertex")
-    split_vertex = max(sources)
+    split_vertex = max(ctx.factor.quiver.source_vertices())
     # per sample: the y-part's star certificate, None when the y-part is not semi-gp
     y_stars: list[bqa.Certificate | None] = []
 
@@ -693,8 +696,6 @@ def _render_pd(value: int | None, bound: int) -> str:
 def suite_nakayama(cfg: SuiteConfig) -> SuiteReport:
     """Full enumeration, per-indecomposable certificates, core summary, and
     the non-Gorenstein / weakly-Gorenstein evidence for a Nakayama algebra."""
-    if cfg.algebra is None:
-        raise ValueError("nakayama suite needs an algebra")
     nak = as_nakayama(cfg.algebra)
     indecs = enumerate_indecomposables(nak)
     only = cfg.only_instance
@@ -788,6 +789,14 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
     """Run a named suite; the report's wall time covers the whole run."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite '{name}' (choose from {', '.join(SUITE_NAMES)})")
+    if name == "nakayama":
+        if cfg.algebra is None:
+            raise BadContext("the nakayama suite needs an algebra")
+    elif cfg.context is None:
+        raise BadContext(f"suite {name} needs a context")
+    elif not (cfg.context.base.quiver.n and cfg.context.factor.quiver.n):
+        role = "factor" if cfg.context.base.quiver.n else "base"
+        raise BadContext(f"suite {name} needs a {role} algebra with at least one vertex")
     start = time.monotonic()
     report = _SUITES[name](cfg)
     report.wall_time = time.monotonic() - start

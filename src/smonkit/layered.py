@@ -18,7 +18,8 @@ membership with pluggable coefficient classes, source-vertex triangular
 splitting with the semi-Gorenstein-projective triple conditions, the Ext
 adjunction identities, extensions, and random layered modules.  Each
 adjunction identity is checked in every degree at once: one Ext sweep
-through the top degree for each of its two sides.
+through the top degree for each of its two sides.  Both triple conditions
+on the connecting map phi are read off one chain map over phi.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import bqa
 from .bqa import Algebra, Certificate, Hom, Module
-from .exactla import FpMatrix, PrimeMismatch, Subspace, null_space, column_space, QuotientSpace
+from .exactla import FpMatrix, PrimeMismatch, Subspace, null_space, column_space
 from .quiver import Arrow, MonomialIdeal, Path, Quiver, make_path, paths_annihilated_by, paths_annihilating
 
 __all__ = [
@@ -747,42 +748,6 @@ def assemble(t: Triple) -> LayeredModule:
 # -- the triple conditions for semi-Gorenstein-projectivity ----------------------
 
 
-def _chain_map(
-    phi: Hom,
-    res_src: bqa.Resolution,
-    res_tgt: bqa.Resolution,
-    length: int,
-) -> list[Hom | None]:
-    """A chain map over phi between minimal resolutions, step by step.
-
-    Entry i is None when either resolution has already stopped; the zero
-    map is then the (unique) compatible choice.
-    """
-    maps: list[Hom | None] = []
-    prev: Hom | None = None
-    for i in range(length + 1):
-        sf, tf = res_src.formal(i), res_tgt.formal(i)
-        if sf is None or sf.is_zero or tf is None or tf.is_zero:
-            maps.append(None)
-            prev = None
-            continue
-        if i == 0:
-            f0 = bqa.lift_through_epi(res_tgt.augmentation, phi @ res_src.augmentation)
-            maps.append(f0)
-            prev = f0
-            continue
-        if prev is None:
-            maps.append(None)
-            continue
-        rhs = prev @ res_src.diff(i - 1)
-        img = bqa.image(res_tgt.diff(i - 1))
-        u = bqa.factor_through_mono(img.inclusion, rhs)
-        fi = bqa.lift_through_epi(img.corestriction, u)
-        maps.append(fi)
-        prev = fi
-    return maps
-
-
 @dataclass(frozen=True)
 class TripleReport:
     """Outcome of the three triple conditions against the direct certificate."""
@@ -810,44 +775,52 @@ class TripleReport:
         return "; ".join(bits)
 
 
-def _ext_iso_failure(t: Triple, bound: int) -> int | None:
-    """First degree in 1..bound where Ext^i(phi, algebra) fails to be bijective."""
+def _phi_conditions(t: Triple, bound: int) -> tuple[bool, int | None]:
+    """Whether phi* = Hom(phi, algebra) is onto, and the first degree in
+    1..bound where Ext^i(phi, algebra) is not bijective (None if none).
+
+    A chain map f over phi between minimal resolutions induces, in degree
+    k, a map from Z/B of Hom(P_k(target), algebra) to Z'/B' of
+    Hom(P_k(source), algebra) of rank dim(f_k*(Z) + B') - dim B'; degree 0
+    is phi*.  f is extended only up to degrees where both sides are nonzero.
+    """
     reg = t.reduced.regular_module()
     p = t.reduced.p
     res_my = bqa.resolve(t.phi.source, bound + 1)
     res_x = bqa.resolve(t.x_part, bound + 1)
-    chain = _chain_map(t.phi, res_my, res_x, bound + 1)
     _, dx = bqa.hom_complex(res_x, reg, bound)
     _, dmy = bqa.hom_complex(res_my, reg, bound)
-    for k in range(1, bound + 1):
-        z_x = null_space(FpMatrix(p, dx[k]))
-        b_x = column_space(FpMatrix(p, dx[k - 1]))
-        z_my = null_space(FpMatrix(p, dmy[k]))
-        b_my = column_space(FpMatrix(p, dmy[k - 1]))
-        h_x = QuotientSpace(z_x, b_x)
-        h_my = QuotientSpace(z_my, b_my)
-        if h_x.dim != h_my.dim:
-            return k
-        if h_x.dim == 0:
-            continue
-        fk = chain[k]
-        if fk is None:
-            return k  # nonzero cohomology but a vanished resolution step
-        fmat = bqa.precompose_matrix(res_my.formal(k), res_x.formal(k), fk, reg)
-        induced = np.zeros((h_my.dim, h_x.dim), dtype=np.int64)
-        for col, rep in enumerate(h_x.reps):
-            induced[:, col] = h_my.coords((fmat @ rep) % p)
-        if FpMatrix(p, induced).rank() != h_x.dim:
-            return k
-    return None
+    chain: list[Hom] = []
+    phi_epi = True
+    for k in range(bound + 1):
+        z_x, z_my = null_space(FpMatrix(p, dx[k])), null_space(FpMatrix(p, dmy[k]))
+        b_x = column_space(FpMatrix(p, dx[k - 1])) if k else Subspace.zero(p, z_x.ambient)
+        b_my = column_space(FpMatrix(p, dmy[k - 1])) if k else Subspace.zero(p, z_my.ambient)
+        h_x, h_my = z_x.dim - b_x.dim, z_my.dim - b_my.dim
+        if k and h_x != h_my:
+            return phi_epi, k
+        rank = 0
+        if h_x and h_my:
+            for i in range(len(chain), k + 1):
+                if i == 0:
+                    chain.append(bqa.lift_through_epi(res_x.augmentation, t.phi @ res_my.augmentation))
+                else:
+                    chain.append(bqa.lift_through_epi(res_x.diff(i - 1), chain[-1] @ res_my.diff(i - 1)))
+            fmat = bqa.precompose_matrix(res_my.formal(k), res_x.formal(k), chain[k], reg)
+            moved = (z_x.basis.data @ fmat.T) % p
+            rank = Subspace.from_spanning(p, z_my.ambient, np.concatenate([moved, b_my.basis.data])).dim - b_my.dim
+        if k == 0:
+            phi_epi = rank == h_my
+        elif rank != h_x:
+            return phi_epi, k
+    return phi_epi, None
 
 
 def triple_conditions(t: Triple, bound: int) -> TripleReport:
     """Evaluate the three triple conditions and compare them with the
     direct layered semi-Gorenstein-projective certificate of the
     assembled module."""
-    phi_epi = bqa.is_left_projective_approximation(t.phi)
-    ext_fail = _ext_iso_failure(t, bound)
+    phi_epi, ext_fail = _phi_conditions(t, bound)
     y_perp = bqa.semi_gp_cert(t.y_part, bound)
     predicted = phi_epi and ext_fail is None and y_perp.certified
     direct = bqa.semi_gp_cert(assemble(t), bound)

@@ -25,7 +25,6 @@ from smonkit.bqa import (
     gp_cert,
     hom_dim,
     hom_space,
-    image,
     is_reflexive,
     is_torsionless,
     kernel,
@@ -90,7 +89,7 @@ def test_hom_across_algebras_rejected(chain3, dual_numbers):
         hom_space(chain3.simple(1), dual_numbers.simple(1))
 
 
-# -- kernels, cokernels, images ----------------------------------------------------
+# -- kernels, cokernels ------------------------------------------------------------
 
 
 def test_kernel_of_identity_and_cokernel_of_zero(chain3):
@@ -107,13 +106,6 @@ def test_kernel_of_cover_of_simple(chain3):
     assert cover.formal.vertices == (2,)
     ker = kernel(cover.epi).module
     assert ker.dims == (1, 0, 0)
-
-
-def test_image_factorization(chain3):
-    cover = projective_cover(chain3.simple(2))
-    data = image(cover.epi)
-    assert data.module.dims == chain3.simple(2).dims
-    assert (data.inclusion @ data.corestriction) == cover.epi
 
 
 # -- radical, top, covers -------------------------------------------------------------
@@ -353,8 +345,11 @@ def test_left_projective_approximation(chain3, dual_numbers):
     assert phi0.target.is_zero() and phi0.is_zero()
     phis = bqa.left_projective_approximation(dual_numbers.simple(1))
     assert phis.is_injective() and phis.target.dims == (2,)
-    for cand in (phi, phi0, phis):
-        assert bqa.is_left_projective_approximation(cand)
+    # over a one-arrow Kronecker factor the triple's phi is the approximation
+    # itself, so phi* onto is the approximation property
+    for u in (chain3.projective(2), chain3.simple(3), dual_numbers.simple(1)):
+        t = layered.build_approximation_triple(u, 1)
+        assert layered.triple_conditions(t, 4).phi_star_epi
 
 
 # -- certificates ------------------------------------------------------------------
@@ -453,6 +448,12 @@ def test_lift_through_epi(chain3):
     assert (cover.epi @ lifted) == g
     with pytest.raises(ValueError):
         bqa.lift_through_epi(bqa.zero_hom(chain3.zero_module(), s2), g)
+    # the map lifted through need not be onto, only contain g's image:
+    # P(2) -> P(3) lands in rad P(3)
+    _, incl = radical(chain3.projective(3))
+    h = hom_space(chain3.projective(2), chain3.projective(3)).homs()[0]
+    assert not incl.is_surjective()
+    assert (incl @ bqa.lift_through_epi(incl, h)) == h
 
 
 def test_star_modules_satisfy_relations(chain3, dual_numbers):

@@ -10,7 +10,6 @@ from smonkit.exactla import (
     AmbientMismatch,
     FpMatrix,
     PrimeMismatch,
-    QuotientSpace,
     Subspace,
     column_space,
     null_space,
@@ -266,15 +265,6 @@ def test_kron_rank_multiplicative(a, b):
 @given(matrices(p=3), matrices(p=3), matrices(p=3))
 def test_kron_associative(a, b, c):
     assert a.kron(b).kron(c) == a.kron(b.kron(c))
-
-
-def test_quotient_space_coordinates():
-    big = Subspace.from_spanning(2, 3, [[1, 0, 0], [0, 1, 0]])
-    small = Subspace.from_spanning(2, 3, [[1, 1, 0]])
-    q = QuotientSpace(big, small)
-    assert q.dim == 1
-    assert list(q.coords([1, 0, 0])) == list(q.coords([0, 1, 0]))
-    assert q.coords([1, 1, 0]).sum() == 0
 
 
 def test_large_prime_rejected():

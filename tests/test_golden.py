@@ -48,6 +48,16 @@ def _reports():
         yield harness.run_suite("nakayama", harness.SuiteConfig(algebra=algebra, bound=12))
     # one context over F_3, so that reduction mod an odd prime is pinned too
     yield from _suite_reports("chain3", "a2", p=3)
+    # a factor whose source has a path of length two, so that the triple
+    # conditions see Ext(phi, -) fail in degrees past the first
+    cfg = harness.SuiteConfig(
+        context=harness.standard_context("chain3", "chain3"),
+        bound=4,
+        samples=24,
+        seed=13,
+        context_label="chain3/chain3",
+    )
+    yield harness.run_suite("triangular", cfg)
 
 
 def _text(reports) -> str:

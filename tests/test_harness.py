@@ -4,6 +4,7 @@ import pytest
 
 from smonkit import bqa, harness, layered
 from smonkit.harness import (
+    BadContext,
     NotNakayama,
     SuiteConfig,
     as_nakayama,
@@ -15,6 +16,7 @@ from smonkit.harness import (
     submodule_pair,
     uniserial,
 )
+from smonkit.quiver import MonomialIdeal, Quiver
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,24 @@ def test_only_instance_replays_one(ctx_dual_chain3):
 def test_unknown_suite_rejected(ctx_dual_chain3):
     with pytest.raises(KeyError):
         run_suite("bogus", small_cfg(ctx_dual_chain3))
+
+
+def test_suites_reject_a_context_they_cannot_run_over(chain3, a2):
+    none = Quiver(0, [], acyclic=True)
+    empty = bqa.Algebra(none, MonomialIdeal(none, []), 2)
+    bad = {
+        "no context": SuiteConfig(samples=2),
+        "empty base": small_cfg(layered.TensorContext(empty, a2), samples=2),
+        "empty factor": small_cfg(layered.TensorContext(chain3, empty), samples=2),
+    }
+    for name in harness.SUITE_NAMES:
+        if name == "nakayama":
+            continue
+        for cfg in bad.values():
+            with pytest.raises(BadContext, match=f"suite {name} needs"):
+                run_suite(name, cfg)
+    with pytest.raises(BadContext, match="needs an algebra"):
+        run_suite("nakayama", SuiteConfig(context=layered.TensorContext(chain3, a2)))
 
 
 # -- Nakayama machinery ------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from smonkit import bqa, harness, layered
 from smonkit.bqa import ShapeMismatch
-from smonkit.exactla import FpMatrix, null_space
+from smonkit.exactla import FpMatrix, Subspace, column_space, null_space, solve_many
 from smonkit.layered import (
     ClassPredicate,
     LayeredHom,
@@ -668,3 +668,98 @@ def test_layered_hom_checks_the_factor_arrows(p):
                     LayeredHom(x, x, tuple(parts), check=True)
                 assert not LayeredHom(x, x, tuple(parts), check=False).is_natural()
     assert moved > 0
+
+
+# -- the phi-conditions of the triple test against a reference ------------------------
+
+
+def _reference_quotient(z, b):
+    """Z / B for B inside Z: the reduced spanning space and a coordinate map."""
+    rows = np.array([b.reduce(row) for row in z.basis.data], dtype=np.int64).reshape(z.dim, z.ambient)
+    reduced = Subspace.from_spanning(z.p, z.ambient, rows)
+    return reduced, lambda vec: reduced.coords(b.reduce(vec))
+
+
+def _reference_chain_map(phi, res_src, res_tgt, length):
+    """A chain map over phi, each step lifted through the image of the
+    target's differential; None once either resolution has stopped."""
+    maps = []
+    for i in range(length + 1):
+        sf, tf = res_src.formal(i), res_tgt.formal(i)
+        if sf is None or sf.is_zero or tf is None or tf.is_zero or (i and maps[-1] is None):
+            maps.append(None)
+        elif i == 0:
+            maps.append(bqa.lift_through_epi(res_tgt.augmentation, phi @ res_src.augmentation))
+        else:
+            rhs = maps[-1] @ res_src.diff(i - 1)
+            d = res_tgt.diff(i - 1)
+            img, incl = bqa.kernel(bqa.cokernel(d).projection)
+            alg, verts = d.source.algebra, d.source.algebra.quiver.vertices
+            core = bqa.Hom(d.source, img, tuple(FpMatrix(alg.p, solve_many(incl.mat(v), d.mat(v).data)) for v in verts))
+            u = bqa.Hom(rhs.source, img, tuple(FpMatrix(alg.p, solve_many(incl.mat(v), rhs.mat(v).data)) for v in verts))
+            maps.append(bqa.lift_through_epi(core, u))
+    return maps
+
+
+def _reference_phi_conditions(t, bound):
+    """(phi* onto, first degree where Ext(phi, algebra) is not bijective):
+    phi* from the Hom spaces of both ends against the algebra, Ext(phi, -)
+    from a chain map built for every degree and quotient coordinates."""
+    reg = t.reduced.regular_module()
+    p = t.reduced.p
+    src, tgt = bqa.hom_space(t.phi.source, reg), bqa.hom_space(t.phi.target, reg)
+    pulled = np.array([src.coords(g @ t.phi) for g in tgt.homs()], dtype=np.int64).reshape(tgt.dim, src.dim)
+    phi_epi = src.dim == 0 or FpMatrix(p, pulled).rank() == src.dim
+    res_my, res_x = bqa.resolve(t.phi.source, bound + 1), bqa.resolve(t.x_part, bound + 1)
+    chain = _reference_chain_map(t.phi, res_my, res_x, bound + 1)
+    _, dx = bqa.hom_complex(res_x, reg, bound)
+    _, dmy = bqa.hom_complex(res_my, reg, bound)
+    for k in range(1, bound + 1):
+        h_x, _ = _reference_quotient(null_space(FpMatrix(p, dx[k])), column_space(FpMatrix(p, dx[k - 1])))
+        h_my, coords = _reference_quotient(null_space(FpMatrix(p, dmy[k])), column_space(FpMatrix(p, dmy[k - 1])))
+        if h_x.dim != h_my.dim:
+            return phi_epi, k
+        if h_x.dim == 0:
+            continue
+        fmat = bqa.precompose_matrix(res_my.formal(k), res_x.formal(k), chain[k], reg)
+        induced = np.array([coords((fmat @ rep) % p) for rep in h_x.basis.data], dtype=np.int64)
+        if FpMatrix(p, induced).rank() != h_x.dim:
+            return phi_epi, k
+    return phi_epi, None
+
+
+def _approximation_triples(p):
+    for alg in (harness.algebra_three_chain(p=p), harness.algebra_loop_nilpotent(2, p=p)):
+        for v in alg.quiver.vertices:
+            for u in (alg.simple(v), alg.projective(v), alg.injective(v)):
+                for r in (1, 2):
+                    yield build_approximation_triple(u, r)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_phi_conditions_match_reference(p):
+    triples = list(_approximation_triples(p))
+    for ctx, xs in _sampled_contexts(p):
+        n = max(ctx.factor.quiver.source_vertices())
+        triples += [split_at_source(x, n) for x in xs]
+    seen = set()
+    for t in triples:
+        rep = triple_conditions(t, 4)
+        got = (rep.phi_star_epi, rep.ext_iso_failure)
+        assert got == _reference_phi_conditions(t, 4)
+        seen.add(got)
+    # both answers of phi*, and Ext(phi, -) bijective, failing in degree 1 and in degree 2
+    assert {epi for epi, _ in seen} == {True, False}
+    assert {fail for _, fail in seen} == {None, 1, 2}
+
+
+@pytest.mark.parametrize("v, fails_at", [(2, 1), (3, 2)])
+def test_ext_iso_needs_the_induced_map_not_just_dimensions(ctx_chain3_a2, v, fails_at):
+    # x = (S(v), S(v)) over the arrow 2 -> 1: phi is the arrow map, and both
+    # ends of phi are S(v), so every Ext group has the same dimension on
+    # both sides and only the rank of the induced map can tell them apart
+    ctx = ctx_chain3_a2
+    s = ctx.base.simple(v)
+    for arrow_map, want in ((bqa.zero_hom(s, s), fails_at), (bqa.identity_hom(s), None)):
+        t = split_at_source(LayeredModule(ctx, (s, s), {"a1": arrow_map}), 2)
+        assert triple_conditions(t, 4).ext_iso_failure == want
