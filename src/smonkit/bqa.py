@@ -172,8 +172,18 @@ class Presentation:
         return self._simples[v]
 
     def projective(self, v: int) -> "Module":
+        """P(v), basis the words from v; an arrow maps a word to its extension."""
         if v not in self._projectives:
-            self._projectives[v] = FormalProjective(self, (v,)).module
+            dims = tuple(len(self.paths_between(v, w)) for w in self.quiver.vertices)
+            mats = {}
+            for a in self.quiver.arrows:
+                mat = np.zeros((dims[a.target - 1], dims[a.source - 1]), dtype=np.int64)
+                for col, q in enumerate(self.paths_between(v, a.source)):
+                    longer = self.extend(q, a)
+                    if longer is not None:
+                        mat[self.path_index(v, a.target, longer), col] = 1
+                mats[a.name] = FpMatrix._of(self.p, mat)
+            self._projectives[v] = self.module(dims, mats)
         return self._projectives[v]
 
     def injective(self, v: int) -> "Module":
@@ -616,7 +626,7 @@ def lift_through_epi(epi: Hom, g: Hom) -> Hom:
     target_vec = np.concatenate(
         [np.zeros(nat.shape[0], dtype=np.int64)] + rhs
     ) if comp_blocks else np.zeros(nat.shape[0], dtype=np.int64)
-    sol = solve(FpMatrix(p, system % p), target_vec)
+    sol = solve(FpMatrix._of(p, system % p), target_vec)
     if sol is None:
         raise ValueError("map does not lift through the epimorphism")
     basis = HomBasis(src, mid, Subspace.full(p, total))
@@ -665,9 +675,6 @@ class FormalProjective:
             ]
             for w in algebra.quiver.vertices
         }
-        self._index: dict[int, dict[tuple[int, Path], int]] = {
-            w: {key: i for i, key in enumerate(fiber)} for w, fiber in self._fibers.items()
-        }
         self._module: Module | None = None
 
     @property
@@ -685,22 +692,23 @@ class FormalProjective:
 
     def generator_position(self, t: int) -> tuple[int, int]:
         v = self.vertices[t]
-        return v, self._index[v][(t, self.algebra.quiver.trivial_path(v))]
+        return v, self._fibers[v].index((t, self.algebra.quiver.trivial_path(v)))
 
     @property
     def module(self) -> Module:
+        """The block diagonal of the copies' projectives, in copy-major order."""
         if self._module is None:
             alg = self.algebra
-            dims = tuple(len(self._fibers[w]) for w in alg.quiver.vertices)
-            mats = {}
-            for a in alg.quiver.arrows:
-                mat = np.zeros((dims[a.target - 1], dims[a.source - 1]), dtype=np.int64)
-                for col, (t, q) in enumerate(self._fibers[a.source]):
-                    longer = alg.extend(q, a)
-                    if longer is not None:
-                        mat[self._index[a.target][(t, longer)], col] = 1
-                mats[a.name] = FpMatrix._of(alg.p, mat)
-            self._module = alg.module(dims, mats)
+            copies = [alg.projective(v) for v in self.vertices]
+            if len(copies) == 1:
+                self._module = copies[0]
+            else:
+                dims = tuple(len(self._fibers[w]) for w in alg.quiver.vertices)
+                mats = {
+                    a.name: FpMatrix.block_diag(alg.p, [c.mats[a.name] for c in copies])
+                    for a in alg.quiver.arrows
+                }
+                self._module = alg.module(dims, mats)
         return self._module
 
 
@@ -714,23 +722,22 @@ def projective_cover(m: Module, pad_vertex: int | None = None) -> Cover:
     """Minimal projective cover; ``pad_vertex`` adds a redundant summand
     (used to exercise resolution-independence of Ext)."""
     alg = m.algebra
-    rads = radical_subspaces(m)
-    lifts: list[tuple[int, np.ndarray]] = []
-    for v in alg.quiver.vertices:
-        _, sec = rads[v - 1].quotient_maps()
-        for j in range(sec.cols):
-            lifts.append((v, sec.data[:, j]))
-    vertices = tuple(v for v, _ in lifts)
-    if pad_vertex is not None:
-        vertices = vertices + (pad_vertex,)
-        lifts.append((pad_vertex, np.zeros(m.dim(pad_vertex), dtype=np.int64)))
-    formal = FormalProjective(alg, vertices)
+    # the top at v lifts to the basis vectors off the radical's pivot columns
+    lifts = [
+        (v, c)
+        for v, rad in zip(alg.quiver.vertices, radical_subspaces(m))
+        for c in range(m.dim(v))
+        if c not in rad.pivots
+    ]
+    pad = () if pad_vertex is None else (pad_vertex,)
+    formal = FormalProjective(alg, tuple(v for v, _ in lifts) + pad)
     proj = formal.module
     mats = []
     for w in alg.quiver.vertices:
         mat = np.zeros((m.dim(w), proj.dim(w)), dtype=np.int64)
         for col, (t, q) in enumerate(formal.fiber(w)):
-            mat[:, col] = m.path_matrix(q).apply(lifts[t][1])
+            if t < len(lifts):  # the padded copy maps to zero
+                mat[:, col] = m.path_matrix(q).data[:, lifts[t][1]]
         mats.append(FpMatrix._of(alg.p, mat))
     epi = alg.hom(proj, m, tuple(mats))
     for v in alg.quiver.vertices:
@@ -920,7 +927,7 @@ def _star_with_bases(m: Module) -> tuple[Module, dict[int, HomBasis]]:
         cols = np.zeros((dims[a.source - 1], dims[a.target - 1]), dtype=np.int64)
         for j, g in enumerate(bases[a.target].homs()):
             cols[:, j] = bases[a.source].coords(rho @ g)
-        mats[a.name] = FpMatrix(alg.p, cols)
+        mats[a.name] = FpMatrix._of(alg.p, cols)
     return opp.module(dims, mats), bases
 
 
@@ -943,7 +950,7 @@ def _star_hom(
         mat = np.zeros((star_src.dim(v), star_tgt.dim(v)), dtype=np.int64)
         for j, g in enumerate(tgt_bases[v].homs()):
             mat[:, j] = src_bases[v].coords(g @ h)
-        mats.append(FpMatrix(alg.p, mat))
+        mats.append(FpMatrix._of(alg.p, mat))
     return star_tgt.algebra.hom(star_tgt, star_src, tuple(mats))
 
 
@@ -972,7 +979,7 @@ def _evaluation_against(
                         block[opp.path_index(v, w, alg.reversal(q)), j] = val[idx]
                 blocks.append(block.reshape(-1))
             ev[:, k] = bases2[v].space.coords(np.concatenate(blocks) % p)
-        mats.append(FpMatrix(p, ev))
+        mats.append(FpMatrix._of(p, ev))
     return alg.hom(m, star2, tuple(mats))
 
 

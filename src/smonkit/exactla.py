@@ -10,6 +10,13 @@ equal exactly when their basis matrices are equal.  All values are
 immutable after construction and every operation is a pure function of
 its inputs.
 
+Every elimination is ``_rref``.  Most matrices are tiny, so per-call cost
+dominates: an empty one returns at once, one of at most ``SMALL_RREF_CELLS``
+cells is reduced on Python lists, larger ones by a numpy row loop; both
+give the same result.  ``null_space`` eliminates the column-reversed matrix
+once: each free column's kernel vector ends at that column, so flipped back
+they are already the reduced echelon kernel basis.
+
 ``FpMatrix(p, data)`` validates: it checks that p is prime, converts the
 data to a 2-D int64 array and reduces it mod p.  Parsers and every
 user-facing entry point build matrices this way.  ``FpMatrix._of(p, arr)``
@@ -66,10 +73,17 @@ def validate_prime(p: int) -> int:
     return p
 
 
+SMALL_RREF_CELLS = 256  # at most this many cells: plain Python beats numpy's per-call cost
+
+
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form of an int64 array mod p; returns (rref, pivot cols)."""
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return np.zeros((rows, cols), dtype=np.int64), ()
+    if rows * cols <= SMALL_RREF_CELLS:
+        return _rref_small(a, p)
     m = np.mod(a, p).astype(np.int64, copy=True)
-    rows, cols = m.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -91,6 +105,33 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return m, tuple(pivots)
+
+
+def _rref_small(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``_rref`` on the rows as Python lists, for matrices where numpy's call overhead dominates."""
+    rows, cols = a.shape
+    m = [[x % p for x in row] for row in a.tolist()]
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        row = m[piv]
+        m[piv] = m[r]
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row = [x * inv % p for x in row]
+        m[r] = row
+        for i in range(rows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
+        pivots.append(c)
+        r += 1
+    return np.array(m, dtype=np.int64), tuple(pivots)
 
 
 class FpMatrix:
@@ -208,18 +249,10 @@ class FpMatrix:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         return FpMatrix._of(self.p, (self.data @ other.data) % self.p)
 
-    def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.p, self.data * (c % self.p))
-
     def kron(self, other: "FpMatrix") -> "FpMatrix":
         """Kronecker product; row (i, j) of the result is i*other.rows + j."""
         self._coerce(other)
         return FpMatrix._of(self.p, np.kron(self.data, other.data) % self.p)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Apply to a 1-D coordinate vector, returning a reduced 1-D vector."""
-        v = np.mod(np.asarray(vec, dtype=np.int64), self.p)
-        return (self.data @ v) % self.p
 
     # -- echelon ------------------------------------------------------
 
@@ -228,7 +261,7 @@ class FpMatrix:
         return FpMatrix._of(self.p, m), piv
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_rref(self.data, self.p)[1])
 
     # -- equality -----------------------------------------------------
 
@@ -304,24 +337,7 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(p={self.p}, ambient={self.ambient}, dim={self.dim})"
 
-    # -- membership / coordinates --------------------------------------
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        """Canonical representative of ``vec`` modulo this subspace."""
-        v = np.mod(np.asarray(vec, dtype=np.int64), self.p)
-        if v.shape != (self.ambient,):
-            raise AmbientMismatch(f"vector of shape {v.shape} in ambient {self.ambient}")
-        if self.dim:
-            v = (v - v[list(self.pivots)] @ self.basis.data) % self.p
-        return v
-
-    def contains_vector(self, vec) -> bool:
-        return not self.reduce(vec).any()
-
-    def contains(self, other: "Subspace") -> bool:
-        if other.ambient != self.ambient:
-            raise AmbientMismatch(f"{other.ambient} != {self.ambient}")
-        return all(self.contains_vector(row) for row in other.basis.data)
+    # -- coordinates ----------------------------------------------------
 
     def coords(self, vec) -> np.ndarray:
         """Coordinates of a member vector in the echelon basis (raises if outside)."""
@@ -392,17 +408,24 @@ def rows_array(rows: list, ambient: int) -> np.ndarray:
 
 
 def null_space(m: FpMatrix) -> Subspace:
-    """Kernel {x : m x = 0} as a canonical subspace of F_p^cols."""
-    red, pivots = _rref(m.data, m.p)
-    cols = m.cols
+    """Kernel {x : m x = 0} as a canonical subspace of F_p^cols, from one
+    elimination of the column-reversed matrix (see the module docstring)."""
+    p, cols = m.p, m.cols
+    if not m.data.any():
+        return Subspace.full(p, cols)
+    red, pivots = _rref(m.data[:, ::-1], p)
     pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    rows = np.zeros((len(free), cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        rows[i, f] = 1
-        for j, pc in enumerate(pivots):
-            rows[i, pc] = (-red[j, f]) % m.p
-    return Subspace.from_spanning(m.p, cols, rows)
+    top = red[: len(pivots)].tolist()
+    basis, lead = [], []
+    for f in range(cols - 1, -1, -1):
+        if f not in pivset:
+            vec = [0] * cols
+            vec[cols - 1 - f] = 1
+            for row, c in zip(top, pivots):
+                vec[cols - 1 - c] = -row[f] % p
+            basis.append(vec)
+            lead.append(cols - 1 - f)
+    return Subspace(p, cols, FpMatrix._of(p, rows_array(basis, cols)), tuple(lead))
 
 
 def column_space(m: FpMatrix) -> Subspace:

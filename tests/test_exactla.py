@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smonkit import exactla
 from smonkit.exactla import (
+    SMALL_RREF_CELLS,
     AmbientMismatch,
     FpMatrix,
     PrimeMismatch,
     Subspace,
+    _rref,
+    _rref_small,
     column_space,
     null_space,
     solve,
@@ -19,6 +23,11 @@ from smonkit.exactla import (
 
 def fp(p, rows):
     return FpMatrix(p, np.array(rows, dtype=np.int64).reshape(len(rows), -1) if rows else np.zeros((0, 0)))
+
+
+def _contains(space, vec):
+    """Membership of one vector: adding it leaves the canonical subspace unchanged."""
+    return Subspace.sum_of([space, Subspace.from_spanning(space.p, space.ambient, [vec])]) == space
 
 
 # -- rref ------------------------------------------------------------------
@@ -54,6 +63,70 @@ def test_rref_idempotent():
     assert red == again
 
 
+def _is_reduced_echelon(red, pivots, p):
+    rows, cols = red.shape
+    assert list(pivots) == sorted(set(pivots)) and all(0 <= c < cols for c in pivots)
+    assert ((red >= 0) & (red < p)).all()
+    assert not red[len(pivots) :].any()
+    for j, c in enumerate(pivots):
+        assert not red[j, :c].any() and red[j, c] == 1
+        assert red[:, c].sum() == 1
+
+
+_ELIMINATION_SHAPES = [
+    (0, 0), (0, 5), (5, 0), (1, 1), (1, 7), (7, 1), (3, 4), (6, 6),
+    (15, 17), (17, 15), (16, 16), (1, 256), (257, 1), (1, 257), (12, 22),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_small_and_numpy_elimination_agree(monkeypatch, p):
+    # 255, 256 and 257 cells sit on both sides of the switch
+    assert {15 * 17, 16 * 16, 257} == {SMALL_RREF_CELLS - 1, SMALL_RREF_CELLS, SMALL_RREF_CELLS + 1}
+    rng = np.random.default_rng(p)
+    cases = []
+    for rows, cols in _ELIMINATION_SHAPES:
+        full = rng.integers(-3 * p, 3 * p, size=(rows, cols))  # unreduced and negative
+        sparse = full * (rng.random((rows, cols)) < 0.2)
+        dependent = np.concatenate([sparse[: rows // 2], sparse[: rows - rows // 2] * 2], axis=0)
+        cases += [full, sparse, dependent.reshape(rows, cols)]
+    monkeypatch.setattr(exactla, "SMALL_RREF_CELLS", 0)  # force the numpy loop
+    for a in cases:
+        big, big_piv = _rref(a, p)
+        # _rref returns before either path on a matrix with no rows or columns
+        small, small_piv = _rref_small(a, p) if a.size else (np.zeros(a.shape, dtype=np.int64), ())
+        assert small.dtype == np.int64 and small.shape == a.shape
+        assert small_piv == big_piv and np.array_equal(small, big)
+        _is_reduced_echelon(small, small_piv, p)
+
+
+def _two_elimination_kernel(m):
+    """The kernel as before the one-elimination rewrite: rref, then span the free vectors."""
+    red, pivots = _rref(m.data, m.p)
+    free = [c for c in range(m.cols) if c not in pivots]
+    rows = np.zeros((len(free), m.cols), dtype=np.int64)
+    for i, f in enumerate(free):
+        rows[i, f] = 1
+        for j, pc in enumerate(pivots):
+            rows[i, pc] = (-red[j, f]) % m.p
+    return Subspace.from_spanning(m.p, m.cols, rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_null_space_matches_two_elimination_reference(p):
+    rng = np.random.default_rng(10 + p)
+    for rows, cols in _ELIMINATION_SHAPES + [(30, 40), (40, 30)]:
+        for density in (1.0, 0.3, 0.05):
+            a = rng.integers(-p, 2 * p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+            m = FpMatrix(p, a)
+            k = null_space(m)
+            assert k == _two_elimination_kernel(m)
+            assert k.basis.shape == (k.dim, cols) and k.ambient == cols
+            _is_reduced_echelon(k.basis.data, k.pivots, p)
+            assert not ((m.data @ k.basis.data.T) % p).any()
+            assert k.dim + m.rank() == cols
+
+
 # -- kernels and images -------------------------------------------------------
 
 
@@ -82,7 +155,7 @@ def test_kernel_single_row_f2_by_enumeration():
     assert len(oracle) == 2  # zero and (1, 1)
     k = null_space(m)
     assert k.dim == 1
-    assert k.contains_vector([1, 1])
+    assert _contains(k, [1, 1])
 
 
 def test_image_identity_and_zero():
@@ -92,7 +165,7 @@ def test_image_identity_and_zero():
 
 def test_image_single_column():
     im = column_space(FpMatrix(2, [[1], [1]]))
-    assert im.dim == 1 and im.contains_vector([1, 1])
+    assert im.dim == 1 and _contains(im, [1, 1])
 
 
 # -- subspace lattice ---------------------------------------------------------
@@ -116,7 +189,7 @@ def test_intersection_by_enumeration_oracle():
     both = [
         v
         for v in itertools.product(range(2), repeat=2)
-        if u.contains_vector(list(v)) and w.contains_vector(list(v))
+        if _contains(u, list(v)) and _contains(w, list(v))
     ]
     assert both == [(0, 0)]
     assert u.intersect(w).dim == 0
