@@ -194,7 +194,7 @@ class Presentation:
     def regular_module(self) -> "Module":
         """The algebra as a left module over itself."""
         if self._regular is None:
-            self._regular = direct_sum([self.projective(v) for v in self.quiver.vertices]).module
+            self._regular = FormalProjective(self, self.quiver.vertices).module
         return self._regular
 
     def right_multiplication(self, arrow_name) -> "Hom":
@@ -560,6 +560,16 @@ def cokernel(f: Hom) -> CokernelPair:
     return CokernelPair(coker, alg.hom(f.target, coker, tuple(projs)), tuple(secs))
 
 
+def _block_sum(alg: Presentation, mods: list[Module]) -> Module:
+    """The module whose arrow matrices are the block diagonals of the summands'."""
+    dims = tuple(sum(m.dim(v) for m in mods) for v in alg.quiver.vertices)
+    mats = {
+        a.name: FpMatrix.block_diag(alg.p, [m.mats[a.name] for m in mods])
+        for a in alg.quiver.arrows
+    }
+    return alg.module(dims, mats)
+
+
 def direct_sum(mods: list[Module]) -> DirectSum:
     if not mods:
         raise ValueError("direct_sum needs at least one summand")
@@ -567,12 +577,7 @@ def direct_sum(mods: list[Module]) -> DirectSum:
     for m in mods[1:]:
         if m.algebra is not alg:
             raise AlgebraMismatch("direct sum across algebras")
-    dims = tuple(sum(m.dim(v) for m in mods) for v in alg.quiver.vertices)
-    mats = {
-        a.name: FpMatrix.block_diag(alg.p, [m.mats[a.name] for m in mods])
-        for a in alg.quiver.arrows
-    }
-    total = alg.module(dims, mats)
+    total = _block_sum(alg, mods)
     incls, projs = [], []
     for i, m in enumerate(mods):
         inc_mats, proj_mats = [], []
@@ -698,17 +703,8 @@ class FormalProjective:
     def module(self) -> Module:
         """The block diagonal of the copies' projectives, in copy-major order."""
         if self._module is None:
-            alg = self.algebra
-            copies = [alg.projective(v) for v in self.vertices]
-            if len(copies) == 1:
-                self._module = copies[0]
-            else:
-                dims = tuple(len(self._fibers[w]) for w in alg.quiver.vertices)
-                mats = {
-                    a.name: FpMatrix.block_diag(alg.p, [c.mats[a.name] for c in copies])
-                    for a in alg.quiver.arrows
-                }
-                self._module = alg.module(dims, mats)
+            copies = [self.algebra.projective(v) for v in self.vertices]
+            self._module = copies[0] if len(copies) == 1 else _block_sum(self.algebra, copies)
         return self._module
 
 

@@ -658,6 +658,9 @@ def test_formal_projective_module_matches_word_walk(p):
             for t, v in enumerate(vertices):
                 w, pos = formal.generator_position(t)
                 assert w == v and formal.fiber(v)[pos] == (t, alg.quiver.trivial_path(v))
+        regular = _word_walk_module(alg, tuple(alg.quiver.vertices))
+        assert alg.regular_module() == regular
+        assert bqa.direct_sum([alg.projective(v) for v in alg.quiver.vertices]).module == regular
 
 
 @pytest.mark.parametrize("p", [2, 3])
