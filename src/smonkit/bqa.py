@@ -16,8 +16,9 @@ arrow actions.  On top of the abelian-category plumbing (kernels,
 cokernels, direct sums) the engine provides radicals and tops,
 minimal projective covers, syzygies and resolutions, Ext dimensions from
 Hom complexes, vector-space duality, the Hom(-, algebra) star with its
-evaluation map, torsionless/reflexivity tests, and bounded
-semi-Gorenstein-projective / Gorenstein-projective certificates.
+evaluation map, and bounded semi-Gorenstein-projective /
+Gorenstein-projective certificates, each computed once per algebra object
+and module content.
 
 Modules and homs are immutable; every operation is a pure function.
 """
@@ -63,9 +64,6 @@ __all__ = [
     "pd_up_to",
     "dual_module",
     "star_module",
-    "evaluation_map",
-    "is_torsionless",
-    "is_reflexive",
     "left_projective_approximation",
     "semi_gp_cert",
     "star_cert",
@@ -91,7 +89,10 @@ class Presentation:
     points (x, y), the basis of e_y P(x) as arrow words in a fixed order,
     asked for once, on first use), ``extend``, ``prepend``, ``reversal``
     and ``opposite``.  Projectives, simples, injectives, the regular
-    module and right multiplication are derived here, and built once.
+    module and right multiplication are derived here, and built once.  So
+    are certificates: the table ``_certs`` keeps each one by its kind, the
+    module's exact content and the bound, for as long as the algebra
+    object lives.
     ``module`` and ``hom`` build the module and hom objects of the
     subclass's kind.
     """
@@ -113,6 +114,7 @@ class Presentation:
         self._injectives: dict[int, Module] = {}
         self._right_mult: dict[str, Hom] = {}
         self._regular: Module | None = None
+        self._certs: dict[tuple, Certificate] = {}
         self._opposite = None
 
     # -- the presentation ----------------------------------------------------
@@ -979,21 +981,6 @@ def _evaluation_against(
     return alg.hom(m, star2, tuple(mats))
 
 
-def evaluation_map(m: Module) -> Hom:
-    """The canonical map m -> star(star(m))."""
-    star1, b1 = _star_with_bases(m)
-    star2, b2 = _star_with_bases(star1)
-    return _evaluation_against(m, star1, b1, star2, b2)
-
-
-def is_torsionless(m: Module) -> bool:
-    return evaluation_map(m).is_injective()
-
-
-def is_reflexive(m: Module) -> bool:
-    return evaluation_map(m).is_bijective()
-
-
 def left_projective_approximation(m: Module) -> Hom:
     """A minimal left approximation of m by a projective module.
 
@@ -1039,19 +1026,29 @@ class Certificate:
 
 
 def _ext_vanishing(m: Module, bound: int, reason: str) -> Certificate:
-    """Ext^i(m, algebra) = 0 for 1 <= i <= bound, refuted at the first nonzero degree."""
-    dims = ext_dims(m, m.algebra.regular_module(), bound)
-    for i in range(1, bound + 1):
-        if dims[i]:
-            return Certificate("REFUTED", bound, reason.format(i=i, dim=dims[i]), i)
-    return Certificate("CERTIFIED_UP_TO", bound)
+    """Ext^i(m, algebra) = 0 for 1 <= i <= bound, refuted at the first nonzero degree.
+
+    Keyed by the reason template too, so a star-side Ext over the opposite
+    algebra never answers for a plain one there."""
+    key = ("ext", reason, _content(m), bound)
+    table = m.algebra._certs
+    if key not in table:
+        dims = ext_dims(m, m.algebra.regular_module(), bound)
+        i = next((i for i in range(1, bound + 1) if dims[i]), None)
+        table[key] = (
+            Certificate("CERTIFIED_UP_TO", bound)
+            if i is None
+            else Certificate("REFUTED", bound, reason.format(i=i, dim=dims[i]), i)
+        )
+    return table[key]
 
 
 def semi_gp_cert(m: Module, bound: int) -> Certificate:
     """Vanishing of Ext^i(m, algebra) for 1 <= i <= bound.
 
     A nonzero group refutes definitively; otherwise the verdict is
-    certified up to the bound.
+    certified up to the bound.  Computed once per algebra object, module
+    content and bound; a repeat request reads the algebra's table.
     """
     return _ext_vanishing(m, bound, m.algebra.EXT_REASON)
 
@@ -1059,15 +1056,20 @@ def semi_gp_cert(m: Module, bound: int) -> Certificate:
 def star_cert(m: Module, bound: int) -> Certificate:
     """The star half of ``gp_cert``: Ext vanishing of star(m) against the
     opposite algebra up to the bound, then bijectivity of the evaluation
-    map.  It equals ``gp_cert`` for a module whose ``semi_gp_cert`` holds."""
-    star1, b1 = _star_with_bases(m)
-    cert = _ext_vanishing(star1, bound, m.algebra.STAR_EXT_REASON)
-    if cert.refuted:
-        return cert
-    star2, b2 = _star_with_bases(star1)
-    if not _evaluation_against(m, star1, b1, star2, b2).is_bijective():
-        return Certificate("REFUTED", bound, m.algebra.EVALUATION_REASON)
-    return cert
+    map.  It equals ``gp_cert`` for a module whose ``semi_gp_cert`` holds.
+    Computed once per algebra object, module content and bound; a repeat
+    request reads the algebra's table."""
+    key = ("star", _content(m), bound)
+    table = m.algebra._certs
+    if key not in table:
+        star1, b1 = _star_with_bases(m)
+        cert = _ext_vanishing(star1, bound, m.algebra.STAR_EXT_REASON)
+        if not cert.refuted:
+            star2, b2 = _star_with_bases(star1)
+            if not _evaluation_against(m, star1, b1, star2, b2).is_bijective():
+                cert = Certificate("REFUTED", bound, m.algebra.EVALUATION_REASON)
+        table[key] = cert
+    return table[key]
 
 
 def gp_cert(m: Module, bound: int) -> Certificate:

@@ -12,8 +12,8 @@ path acting at a base vertex is an engine word (``at_vertex``), a layered
 hom is checked as an engine hom, and the cocycle system of extensions is
 the engine's Hom system per arrow plus the factor relations.
 
-This module adds what only the layered reading has: the branch
-cokernel/kernel functors, tensor constructions, separated monic/epic
+This module adds what only the layered reading has: branch cokernels
+and outgoing kernels, tensor constructions, separated monic/epic
 membership with pluggable coefficient classes, source-vertex triangular
 splitting with the semi-Gorenstein-projective triple conditions, the Ext
 adjunction identities, extensions, and random layered modules.  Each
@@ -44,7 +44,6 @@ __all__ = [
     "Triple",
     "tensor",
     "branch_cokernel",
-    "branch_kernel",
     "outgoing_kernel",
     "check_separated_monic",
     "check_separated_epic",
@@ -398,11 +397,6 @@ def branch_cokernel(x: LayeredModule, i: int) -> bqa.CokernelPair:
     """Cokernel of the total incoming map at a factor vertex (the branch
     itself at a source vertex)."""
     return bqa.cokernel(_incoming_total_map(x, i))
-
-
-def branch_kernel(x: LayeredModule, i: int) -> bqa.KernelPair:
-    """Kernel of the total incoming map at a factor vertex (zero at sources)."""
-    return bqa.kernel(_incoming_total_map(x, i))
 
 
 def outgoing_kernel(x: LayeredModule, i: int) -> bqa.KernelPair:

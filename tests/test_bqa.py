@@ -21,12 +21,9 @@ from smonkit.bqa import (
     direct_sum,
     dual_module,
     ext_dims,
-    evaluation_map,
     gp_cert,
     hom_dim,
     hom_space,
-    is_reflexive,
-    is_torsionless,
     kernel,
     pd_up_to,
     projective_cover,
@@ -326,12 +323,20 @@ def test_star_of_simples(chain3):
     assert star_module(chain3.simple(3)).total_dim == 0
 
 
+def evaluation_map(m):
+    """The canonical map m -> star(star(m)), as star_cert builds it."""
+    star1, b1 = bqa._star_with_bases(m)
+    star2, b2 = bqa._star_with_bases(star1)
+    return bqa._evaluation_against(m, star1, b1, star2, b2)
+
+
 def test_torsionless_and_reflexive(chain3, dual_numbers):
+    # torsionless: the evaluation map is injective; reflexive: it is bijective
     for v in chain3.quiver.vertices:
-        assert is_torsionless(chain3.projective(v))
-        assert is_reflexive(chain3.projective(v))
-    assert not is_torsionless(chain3.simple(3))
-    assert is_torsionless(dual_numbers.simple(1))
+        assert evaluation_map(chain3.projective(v)).is_injective()
+        assert evaluation_map(chain3.projective(v)).is_bijective()
+    assert not evaluation_map(chain3.simple(3)).is_injective()
+    assert evaluation_map(dual_numbers.simple(1)).is_injective()
 
 
 def test_evaluation_natural(chain3):
@@ -388,6 +393,75 @@ def test_zero_module_certified(chain3):
     z = chain3.zero_module()
     assert semi_gp_cert(z, 5).certified
     assert gp_cert(z, 5).certified
+
+
+STOCK_BUILDERS = (
+    harness.algebra_trivial,
+    harness.algebra_loop_nilpotent,
+    harness.algebra_three_chain,
+    harness.algebra_line,
+    harness.nakayama_17_18_18,
+)
+
+
+def _with_semisimple(mods):
+    """The samples, then the semisimple module with the dims of the smallest
+    nonzero one: same dims, other matrices."""
+    m = min((m for m in mods if m.total_dim), key=lambda m: m.total_dim)
+    zero = {name: FpMatrix.zeros(m.algebra.p, *mat.shape) for name, mat in m.mats.items()}
+    return mods + [m.algebra.module(m.dims, zero)]
+
+
+def _stock_samples(p):
+    """(rebuild, algebra, sampled modules) for every stock algebra and both stock contexts."""
+    for build in STOCK_BUILDERS:
+        alg = build(p=p)
+        count, budget = (2, 2) if alg.dim > 20 else (4, 3)  # the (17, 18, 18) modules are slow to star
+        mods = [random_module(alg, budget, seed) for seed in range(count)]
+        yield (lambda: build(p=p)), alg, _with_semisimple(mods)
+    for base, factor in (("kx2", "chain3"), ("chain3", "a2")):
+        ctx = harness.standard_context(base, factor, p=p)
+        rng = np.random.default_rng(5)
+        rebuild = lambda: harness.standard_context(base, factor, p=p)  # noqa: E731
+        yield rebuild, ctx, _with_semisimple([harness.sample_layered_mixed(ctx, rng, 3)[0] for _ in range(4)])
+
+
+def _copy_over(alg, m):
+    """A new module object over ``alg`` with m's dims and arrow matrices."""
+    return alg.module(m.dims, {name: FpMatrix(alg.p, mat.data) for name, mat in m.mats.items()})
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_certificate_table_hit_is_the_fresh_answer(p, monkeypatch):
+    # each algebra's certificate table is filled with semi, star and gp
+    # certificates at bounds N and 2N, of modules some of which share their
+    # dims, and with both star-side and plain certificates of star(m) over
+    # the opposite algebra; a repeat on a content-equal copy must read the
+    # table and agree with a fresh algebra
+    n = 3
+    real_ext_dims = bqa.ext_dims
+    sweeps = []
+    telling = set()  # which key collisions the samples would have exposed
+    for rebuild, alg, mods in _stock_samples(p):
+        for m in mods:
+            star1 = star_module(m)
+            asks = [(f, m, b) for b in (n, 2 * n) for f in (semi_gp_cert, bqa.star_cert, gp_cert)]
+            asks += [(semi_gp_cert, star1, n), (bqa.star_cert, star1, n)]
+            first = [f(x, b) for f, x, b in asks]
+            if first[0] != first[1]:
+                telling.add("semi vs star")
+            if first[0] != first[3]:
+                telling.add("N vs 2N")
+            if first[6].refuted:  # a plain Ext over the opposite algebra, where star(m)'s star side ran
+                telling.add("opposite")
+            monkeypatch.setattr(bqa, "ext_dims", lambda *a, **k: sweeps.append(a) or real_ext_dims(*a, **k))
+            again = [f(_copy_over(x.algebra, x), b) for f, x, b in asks]
+            monkeypatch.setattr(bqa, "ext_dims", real_ext_dims)
+            assert not sweeps, "a repeated certificate ran an Ext sweep"
+            for (f, x, b), warm, hit in zip(asks, first, again):
+                fresh_alg = rebuild() if x.algebra is alg else rebuild().opposite()
+                assert hit == warm == f(_copy_over(fresh_alg, x), b), (f.__name__, b, x.algebra is alg)
+    assert telling == {"semi vs star", "N vs 2N", "opposite"}
 
 
 # -- sampling and probes --------------------------------------------------------------

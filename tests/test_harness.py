@@ -57,6 +57,19 @@ def test_only_instance_replays_one(ctx_dual_chain3):
     assert one.records[0].note == full.records[5].note
 
 
+@pytest.mark.parametrize("base,factor", [("kx2", "chain3"), ("chain3", "a2")])
+def test_replay_on_a_warm_context_matches_a_fresh_one(base, factor):
+    # after all seven suites the warm context's certificate tables hold every
+    # certificate they asked for; a replay that reads them must not differ
+    warm = harness.standard_context(base, factor)
+    full = {name: run_suite(name, small_cfg(warm)) for name in harness.SUITE_NAMES if name != "nakayama"}
+    for name in ("lz3", "triangular", "weakly-gorenstein"):
+        for idx in range(small_cfg(warm).samples):
+            again = run_suite(name, small_cfg(warm, only_instance=idx)).records
+            fresh = run_suite(name, small_cfg(harness.standard_context(base, factor), only_instance=idx)).records
+            assert again == fresh == [full[name].records[idx]], (name, idx)
+
+
 def test_unknown_suite_rejected(ctx_dual_chain3):
     with pytest.raises(KeyError):
         run_suite("bogus", small_cfg(ctx_dual_chain3))
