@@ -418,12 +418,12 @@ def _stock_samples(p):
         alg = build(p=p)
         count, budget = (2, 2) if alg.dim > 20 else (4, 3)  # the (17, 18, 18) modules are slow to star
         mods = [random_module(alg, budget, seed) for seed in range(count)]
-        yield (lambda: build(p=p)), alg, _with_semisimple(mods)
-    for base, factor in (("kx2", "chain3"), ("chain3", "a2")):
-        ctx = harness.standard_context(base, factor, p=p)
+        yield (lambda build=build: build(p=p)), alg, _with_semisimple(mods)
+    for names in (("kx2", "chain3"), ("chain3", "a2")):
+        ctx = harness.standard_context(*names, p=p)
         rng = np.random.default_rng(5)
-        rebuild = lambda: harness.standard_context(base, factor, p=p)  # noqa: E731
-        yield rebuild, ctx, _with_semisimple([harness.sample_layered_mixed(ctx, rng, 3)[0] for _ in range(4)])
+        mods = [harness.sample_layered_mixed(ctx, rng, 3)[0] for _ in range(4)]
+        yield (lambda names=names: harness.standard_context(*names, p=p)), ctx, _with_semisimple(mods)
 
 
 def _copy_over(alg, m):
