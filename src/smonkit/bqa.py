@@ -54,6 +54,7 @@ __all__ = [
     "cokernel",
     "direct_sum",
     "check_module",
+    "path_span_module",
     "radical",
     "top",
     "projective_cover",
@@ -64,7 +65,6 @@ __all__ = [
     "pd_up_to",
     "dual_module",
     "star_module",
-    "left_projective_approximation",
     "semi_gp_cert",
     "star_cert",
     "gp_cert",
@@ -228,13 +228,12 @@ class Algebra(Presentation):
     arrow is zero exactly when it ends in an ideal generator.
     """
 
-    def __init__(self, quiver: Quiver, ideal: MonomialIdeal, p: int, cap: int = 64):
+    def __init__(self, quiver: Quiver, ideal: MonomialIdeal, p: int):
         if ideal.quiver != quiver:
             raise ValueError("ideal was built over a different quiver")
         self.quiver = quiver
         self.ideal = ideal
-        self.cap = cap
-        self.paths = nonzero_paths(quiver, ideal, cap)  # NotAdmissible on failure
+        self.paths = nonzero_paths(quiver, ideal)  # NotAdmissible on failure
         self.dim = len(self.paths)
         self.labels = tuple(quiver.vertices)
         super().__init__(p)
@@ -261,7 +260,7 @@ class Algebra(Presentation):
     def opposite(self) -> "Algebra":
         if self._opposite is None:
             oq, oi = opposite_bound_quiver(self.quiver, self.ideal)
-            opp = Algebra(oq, oi, self.p, self.cap)
+            opp = Algebra(oq, oi, self.p)
             opp._opposite = self
             self._opposite = opp
         return self._opposite
@@ -336,6 +335,23 @@ def check_module(m: Module) -> list[str]:
         if not m.path_matrix(g).is_zero():
             out.append(str(g))
     return out
+
+
+def path_span_module(algebra: Algebra, by_vertex: dict[int, list[Path]]) -> Module:
+    """The module with basis ``by_vertex[w]`` at each vertex w, in the listed
+    order, where an arrow a sends a listed path q to q*a if q*a is listed
+    too (compared by arrows) and to zero otherwise."""
+    index = {w: {q.arrows: k for k, q in enumerate(qs)} for w, qs in by_vertex.items()}
+    dims = tuple(len(by_vertex[w]) for w in algebra.quiver.vertices)
+    mats = {}
+    for a in algebra.quiver.arrows:
+        mat = np.zeros((dims[a.target - 1], dims[a.source - 1]), dtype=np.int64)
+        for col, q in enumerate(by_vertex[a.source]):
+            row = index[a.target].get(q.arrows + (a.name,))
+            if row is not None:
+                mat[row, col] = 1
+        mats[a.name] = FpMatrix(algebra.p, mat)
+    return Module(algebra, dims, mats)
 
 
 class Hom:
@@ -934,24 +950,6 @@ def star_module(m: Module) -> Module:
     return _star_with_bases(m)[0]
 
 
-def _star_hom(
-    h: Hom,
-    src_bases: dict[int, HomBasis],
-    tgt_bases: dict[int, HomBasis],
-    star_src: Module,
-    star_tgt: Module,
-) -> Hom:
-    """Contravariant star on homs: star(target) -> star(source)."""
-    alg = h.source.algebra
-    mats = []
-    for v in alg.quiver.vertices:
-        mat = np.zeros((star_src.dim(v), star_tgt.dim(v)), dtype=np.int64)
-        for j, g in enumerate(tgt_bases[v].homs()):
-            mat[:, j] = src_bases[v].coords(g @ h)
-        mats.append(FpMatrix._of(alg.p, mat))
-    return star_tgt.algebra.hom(star_tgt, star_src, tuple(mats))
-
-
 def _evaluation_against(
     m: Module,
     star1: Module,
@@ -979,22 +977,6 @@ def _evaluation_against(
             ev[:, k] = bases2[v].space.coords(np.concatenate(blocks) % p)
         mats.append(FpMatrix._of(p, ev))
     return alg.hom(m, star2, tuple(mats))
-
-
-def left_projective_approximation(m: Module) -> Hom:
-    """A minimal left approximation of m by a projective module.
-
-    Built by covering star(m) over the opposite algebra, starring the
-    cover back, and composing with the evaluation map.  The target is a
-    projective module (presented through hom bases).
-    """
-    star1, b1 = _star_with_bases(m)
-    cover = projective_cover(star1)
-    star2, b2 = _star_with_bases(star1)
-    cov_star, cov_bases = _star_with_bases(cover.formal.module)
-    eps_star = _star_hom(cover.epi, cov_bases, b2, cov_star, star2)
-    ev = _evaluation_against(m, star1, b1, star2, b2)
-    return eps_star @ ev
 
 
 # -- certificates -------------------------------------------------------------

@@ -264,15 +264,11 @@ def cmd_split(args) -> int:
     print("x-part:")
     sys.stdout.write(formats.serialize_layered(t.x_part, "<base>"))
     print("connecting-map:")
-    for k, q in enumerate(t.rad_paths):
+    for q in t.rad_paths:
         print(f"path {q}")
-        j = t.relabel[q.target]
-        part = t.phi.part(j)
         for v in t.full_context.base.quiver.vertices:
-            w = t.y_part.dim(v)
-            block = part.mat(v).data[:, k * w : (k + 1) * w]
             print(f"vertex {v}")
-            for row in block:
+            for row in t.block(q, v).data:
                 print(" ".join(str(int(e)) for e in row))
     rt = layered.assemble(t) == x
     print(f"round-trip: {'exact' if rt else 'MISMATCH'}")

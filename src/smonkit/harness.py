@@ -12,11 +12,8 @@ Determinism contract: every instance draws from an RNG stream derived
 from (seed, instance index), so reports are byte-identical across reruns
 and independent of execution order.
 
-One documented limitation (mirroring an open question): no non-torsionless
-semi-Gorenstein-projective module is known inside the monomial algebra
-class, so ``layered.build_approximation_triple`` cannot plant a genuine
-counterexample witness; it takes caller-supplied modules, and no suite
-calls it (the triangular suite splits sampled modules instead).
+Open question: is there a non-torsionless semi-Gorenstein-projective
+module over a monomial algebra?  None is known, so no suite plants one.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ import numpy as np
 
 from . import bqa, formats, layered
 from .bqa import Algebra, Module
-from .exactla import FpMatrix
 from .layered import ClassPredicate, LayeredModule, TensorContext, tensor
 from .quiver import Arrow, MonomialIdeal, Quiver, make_path
 
@@ -117,7 +113,7 @@ def nakayama_17_18_18(p: int = 2) -> Algebra:
     word1 = (cycle * 6)[:17]  # starts at vertex 1, length 17
     word2 = (("b", "c", "a") * 6)[:18]  # starts at vertex 2, length 18
     ideal = MonomialIdeal(q, [make_path(q, word1), make_path(q, word2)])
-    return Algebra(q, ideal, p, cap=64)
+    return Algebra(q, ideal, p)
 
 
 _STANDARD_BASES = {
@@ -601,17 +597,7 @@ def uniserial(algebra: Algebra, v: int, length: int) -> Module:
     """The length-``length`` quotient of the indecomposable projective at v."""
     paths = sorted(q for q in algebra.paths if q.source == v and q.length < length)
     by_vertex = {w: [q for q in paths if q.target == w] for w in algebra.quiver.vertices}
-    index = {w: {q.arrows: k for k, q in enumerate(by_vertex[w])} for w in algebra.quiver.vertices}
-    dims = tuple(len(by_vertex[w]) for w in algebra.quiver.vertices)
-    mats = {}
-    for a in algebra.quiver.arrows:
-        mat = np.zeros((dims[a.target - 1], dims[a.source - 1]), dtype=np.int64)
-        for col, q in enumerate(by_vertex[a.source]):
-            row = index[a.target].get(q.arrows + (a.name,))
-            if row is not None:
-                mat[row, col] = 1
-        mats[a.name] = FpMatrix(algebra.p, mat)
-    return Module(algebra, dims, mats)
+    return bqa.path_span_module(algebra, by_vertex)
 
 
 def enumerate_indecomposables(nak: NakayamaAlgebra) -> list[tuple[int, int, Module]]:

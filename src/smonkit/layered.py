@@ -51,7 +51,6 @@ __all__ = [
     "split_at_source",
     "assemble",
     "triple_conditions",
-    "build_approximation_triple",
     "extension_space",
     "extension_module",
     "random_layered",
@@ -183,14 +182,14 @@ class TensorContext(bqa.Presentation):
     def annihilated_by(self, arrow_name: str) -> list[Path]:
         if arrow_name not in self._annihilated:
             self._annihilated[arrow_name] = paths_annihilated_by(
-                self.factor.quiver, self.factor.ideal, arrow_name, self.factor.cap
+                self.factor.quiver, self.factor.ideal, arrow_name
             )
         return self._annihilated[arrow_name]
 
     def annihilating(self, arrow_name: str) -> list[Path]:
         if arrow_name not in self._annihilating:
             self._annihilating[arrow_name] = paths_annihilating(
-                self.factor.quiver, self.factor.ideal, arrow_name, self.factor.cap
+                self.factor.quiver, self.factor.ideal, arrow_name
             )
         return self._annihilating[arrow_name]
 
@@ -657,6 +656,14 @@ class Triple:
     rad_paths: list[Path]
     phi: LayeredHom
 
+    def block(self, q: Path, v: int) -> FpMatrix:
+        """The block of phi at base vertex v through which the radical path
+        q acts: y_v -> (x_part at the end of q)_v."""
+        j = self.relabel[q.target]
+        pos = [r for r in self.rad_paths if self.relabel[r.target] == j].index(q)
+        width = self.y_part.dim(v)
+        return FpMatrix(self.full_context.p, self.phi.part(j).mat(v).data[:, pos * width : (pos + 1) * width])
+
 
 def _by_target(paths: list[Path], relabel: dict[int, int], reduced: TensorContext) -> dict[int, list[Path]]:
     """The radical paths out of the source, grouped by the reduced vertex they end at."""
@@ -669,22 +676,11 @@ def _source_layer(ctx: TensorContext, n: int) -> tuple[TensorContext, dict[int, 
     radical of P(n) as a module over the reduced factor."""
     quiver, relabel = ctx.factor.quiver.delete_vertex(n)
     gens = [make_path(quiver, g.arrows) for g in ctx.factor.ideal.generators if g.source != n]
-    factor = Algebra(quiver, MonomialIdeal(quiver, gens), ctx.p, ctx.factor.cap)
+    factor = Algebra(quiver, MonomialIdeal(quiver, gens), ctx.p)
     reduced = TensorContext(ctx.base, factor)
     paths = sorted(q for q in ctx.factor.paths if q.source == n and q.length >= 1)
-    by_vertex = _by_target(paths, relabel, reduced)
-    index = {j: {q.arrows: t for t, q in enumerate(qs)} for j, qs in by_vertex.items()}
-    dims = tuple(len(by_vertex[j]) for j in factor.quiver.vertices)
-    mats = {}
-    for a in factor.quiver.arrows:
-        mat = np.zeros((dims[a.target - 1], dims[a.source - 1]), dtype=np.int64)
-        for col, q in enumerate(by_vertex[a.source]):
-            seq = q.arrows + (a.name,)
-            row = index[a.target].get(seq)
-            if row is not None:
-                mat[row, col] = 1
-        mats[a.name] = FpMatrix(factor.p, mat)
-    return reduced, relabel, paths, Module(factor, dims, mats)
+    rad_module = bqa.path_span_module(factor, _by_target(paths, relabel, reduced))
+    return reduced, relabel, paths, rad_module
 
 
 def split_at_source(x: LayeredModule, n: int) -> Triple:
@@ -720,22 +716,14 @@ def assemble(t: Triple) -> LayeredModule:
     branches: list[Module] = []
     for old in ctx.factor.quiver.vertices:
         branches.append(t.y_part if old == n else t.x_part.branch(t.relabel[old]))
-    by_vertex = _by_target(t.rad_paths, t.relabel, t.reduced)
     maps: dict[str, Hom] = {}
     for a in ctx.factor.quiver.arrows:
         if a.source != n:
             maps[a.name] = t.x_part.arrow_maps[a.name]
             continue
-        j = t.relabel[a.target]
-        copies = by_vertex[j]
-        pos = next(k for k, q in enumerate(copies) if q.arrows == (a.name,))
-        part = t.phi.part(j)
-        mats = []
-        for v in ctx.base.quiver.vertices:
-            width = t.y_part.dim(v)
-            block = part.mat(v).data[:, pos * width : (pos + 1) * width]
-            mats.append(FpMatrix(ctx.p, block))
-        maps[a.name] = Hom(t.y_part, t.x_part.branch(j), tuple(mats), check=False)
+        q = Path(a.source, a.target, (a.name,))
+        mats = tuple(t.block(q, v) for v in ctx.base.quiver.vertices)
+        maps[a.name] = Hom(t.y_part, t.x_part.branch(t.relabel[a.target]), mats, check=False)
     return LayeredModule(ctx, tuple(branches), maps, check=False)
 
 
@@ -819,37 +807,6 @@ def triple_conditions(t: Triple, bound: int) -> TripleReport:
     predicted = phi_epi and ext_fail is None and y_perp.certified
     direct = bqa.semi_gp_cert(assemble(t), bound)
     return TripleReport(phi_epi, ext_fail, y_perp, predicted, direct, bound)
-
-
-def build_approximation_triple(u: Module, r: int) -> Triple:
-    """The triple [P^r; u] over the base algebra with an r-arrow Kronecker
-    factor, connecting through the left projective approximation of u.
-
-    When the approximation is injective the assembled module is separated
-    monic; a non-injective approximation makes it fail the kernel
-    condition while staying semi-Gorenstein-projective whenever u is.
-    """
-    if r < 1:
-        raise ValueError("the Kronecker factor needs at least one arrow")
-    base = u.algebra
-    quiver = Quiver(2, [Arrow(f"k{s+1}", 2, 1) for s in range(r)], acyclic=True)
-    factor = Algebra(quiver, MonomialIdeal(quiver, []), base.p)
-    ctx = TensorContext(base, factor)
-    phi = bqa.left_projective_approximation(u)
-    proj = phi.target
-    reduced, relabel, rad_paths, rad_module = _source_layer(ctx, 2)
-    x_sum = bqa.direct_sum([proj] * r)
-    x_part = LayeredModule(reduced, (x_sum.module,), {}, check=False)
-    phi_source = tensor(reduced, u, rad_module)
-    mats = []
-    for v in base.quiver.vertices:
-        mats.append(FpMatrix.block_diag(base.p, [phi.mat(v)] * r))
-    connecting = LayeredHom(
-        phi_source,
-        x_part,
-        (Hom(phi_source.branch(1), x_part.branch(1), tuple(mats)),),
-    )
-    return Triple(ctx, 2, reduced, relabel, x_part, u, rad_paths, connecting)
 
 
 # -- extensions and random layered modules ---------------------------------------

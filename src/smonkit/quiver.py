@@ -4,7 +4,9 @@ Paths store their arrows in application order (first applied first), so
 a composite written alpha_l ... alpha_1 in the usual right-to-left
 notation is the tuple (alpha_1, ..., alpha_l) here.  A path is in a
 monomial ideal exactly when some generator occurs as a contiguous run of
-its arrow tuple.
+its arrow tuple.  Admissibility, that is finitely many nonzero paths, is
+proved exactly, on cyclic quivers too: ``nonzero_paths`` either ends or
+exhibits a nonzero path with a loop that pumps.
 
 The enumeration order (length, then lexicographic on the arrow-name tuple,
 then source vertex for trivial paths) fixes every downstream basis and is
@@ -37,7 +39,7 @@ class Cyclic(ValueError):
 
 
 class NotAdmissible(ValueError):
-    """The ideal does not contain all long paths (bounded search failed)."""
+    """The ideal leaves infinitely many nonzero paths: kQ/I is infinite-dimensional."""
 
 
 class UnknownArrow(KeyError):
@@ -156,13 +158,6 @@ class Quiver:
             raise Cyclic("source vertices are defined for acyclic quivers")
         return [v for v in self.vertices if not self._into[v]]
 
-    def topological_order(self) -> list[int]:
-        """Vertices with every arrow target before its source (sinks first)."""
-        order = _sink_first_order(self.n, self.arrows)
-        if order is None:
-            raise Cyclic("topological order requires an acyclic quiver")
-        return order
-
     def opposite(self) -> "Quiver":
         rev = [Arrow(a.name, a.target, a.source) for a in self.arrows]
         return Quiver(self.n, rev)
@@ -274,14 +269,18 @@ class MonomialIdeal:
         return f"MonomialIdeal({', '.join(str(g) for g in self.generators)})"
 
 
-def nonzero_paths(quiver: Quiver, ideal: MonomialIdeal, cap: int = 64) -> list[Path]:
+def nonzero_paths(quiver: Quiver, ideal: MonomialIdeal) -> list[Path]:
     """All paths outside the ideal, trivial ones included, in canonical order.
 
-    On a cyclic quiver a surviving path reaching length ``cap`` is taken as
-    evidence that the ideal is not admissible and NotAdmissible is raised;
-    on an acyclic quiver the enumeration terminates on its own.
+    Admissibility is decided exactly.  With g the longest generator length,
+    whether a nonzero path extends by an arrow depends only on its last
+    m = max(g-1, 1) arrows.  So when a nonzero path ends with a window of m
+    arrows that it ran through before, the loop between the two can be
+    pumped forever, and NotAdmissible names that path.  With w nonzero
+    paths of length m, every nonzero path of length w+m repeats a window,
+    so otherwise the search ends by itself.
     """
-    acyclic = quiver.is_acyclic()
+    span = max((g.length - 1 for g in ideal.generators), default=1)  # m; generators have length >= 2
     frontier = [quiver.trivial_path(v) for v in quiver.vertices]
     found: list[Path] = list(frontier)
     while frontier:
@@ -292,9 +291,11 @@ def nonzero_paths(quiver: Quiver, ideal: MonomialIdeal, cap: int = 64) -> list[P
                 if ideal.kills_extension(seq):
                     continue
                 q = Path(p.source, a.target, seq)
-                if not acyclic and q.length >= cap:
+                last = len(seq) - span
+                if last > 0 and seq[last:] in {seq[i : i + span] for i in range(last)}:
                     raise NotAdmissible(
-                        f"path of length {cap} outside the ideal: {q}"
+                        f"the nonzero path {q} runs twice through a window of {span} "
+                        f"arrow(s), so the loop between the two never dies"
                     )
                 nxt.append(q)
         found.extend(nxt)
@@ -302,7 +303,7 @@ def nonzero_paths(quiver: Quiver, ideal: MonomialIdeal, cap: int = 64) -> list[P
     return sorted(found)
 
 
-def paths_annihilated_by(quiver: Quiver, ideal: MonomialIdeal, arrow_name: str, cap: int = 64) -> list[Path]:
+def paths_annihilated_by(quiver: Quiver, ideal: MonomialIdeal, arrow_name: str) -> list[Path]:
     """Nonzero paths into the arrow's source that die when the arrow follows.
 
     That is, paths q of length >= 1 ending at s(a) with q outside the
@@ -311,13 +312,13 @@ def paths_annihilated_by(quiver: Quiver, ideal: MonomialIdeal, arrow_name: str, 
     """
     a = quiver.arrow(arrow_name)
     out = []
-    for q in nonzero_paths(quiver, ideal, cap):
+    for q in nonzero_paths(quiver, ideal):
         if q.length >= 1 and q.target == a.source and ideal.kills_extension(q.arrows + (a.name,)):
             out.append(q)
     return out
 
 
-def paths_annihilating(quiver: Quiver, ideal: MonomialIdeal, arrow_name: str, cap: int = 64) -> list[Path]:
+def paths_annihilating(quiver: Quiver, ideal: MonomialIdeal, arrow_name: str) -> list[Path]:
     """Nonzero paths out of the arrow's target that kill the arrow.
 
     That is, paths q of length >= 1 starting at e(a) with q*a in the
@@ -325,7 +326,7 @@ def paths_annihilating(quiver: Quiver, ideal: MonomialIdeal, arrow_name: str, ca
     """
     a = quiver.arrow(arrow_name)
     out = []
-    for q in nonzero_paths(quiver, ideal, cap):
+    for q in nonzero_paths(quiver, ideal):
         if q.length >= 1 and q.source == a.target:
             seq = (a.name,) + q.arrows
             composite = Path(a.source, q.target, seq)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import smonkit
-from smonkit import bqa, formats, layered
+from smonkit import bqa, formats, harness, layered
 from smonkit.formats import ParseError
 
 
@@ -160,6 +160,16 @@ def test_cli_smon_sepi_tensor_split(workdir, chain3, ground_field):
     # split round-trips
     proc = run_cli(["split", "--vertex", "3", "p3.rep"], tmp)
     assert proc.returncode == 0 and "round-trip: exact" in proc.stdout
+    # over A3 the path of length two is the only path into vertex 1, so its
+    # block is the first of that part, not the second of all radical paths
+    line3 = harness.algebra_line(3)
+    ctx3 = layered.TensorContext(chain3, line3)
+    x3 = layered.tensor(ctx3, chain3.projective(3), line3.projective(3))
+    (tmp / "x.rep").write_text(formats.serialize_layered(x3, "q3.alg"))
+    proc = run_cli(["split", "x.rep", "--vertex", "3"], tmp)
+    assert proc.returncode == 0 and "round-trip: exact" in proc.stdout
+    out = proc.stdout.split("path a1*a2\n")[1].split("round-trip")[0]
+    assert out.splitlines() == ["vertex 1", "vertex 2", "1", "vertex 3", "1"]
 
 
 def test_cli_predicate_kinds_match_the_library(workdir, chain3, a2):
@@ -265,6 +275,7 @@ MALFORMED = [
     ["suite", "ce", "q3.alg", "q3f3.alg"],
     ["suite", "ce", "empty.alg", "a2.alg"],
     ["suite", "ce", "q3.alg", "empty.alg"],
+    ["check", "twoloops.alg"],
 ]
 
 
@@ -284,6 +295,10 @@ def test_cli_malformed_input_is_a_usage_error(workdir, chain3, a2, args):
     (tmp / "S3f3.mod").write_text(formats.serialize_module(chain3.simple(3), "q3f3.alg"))
     (tmp / "empty.alg").write_text("smonkit-algebra v1\nprime 2\nvertices 0\n")
     (tmp / "nocount.alg").write_text("smonkit-algebra v1\nprime 2\nvertices\n")
+    # loops x and y killing only x*x: infinite-dimensional
+    (tmp / "twoloops.alg").write_text(
+        "smonkit-algebra v1\nprime 2\nvertices 1\narrow x 1 1\narrow y 1 1\nrelation x x\n"
+    )
     quiver = "smonkit-layered v1\nbase q3.alg\nquiver\nvertices{}\nendquiver\n"
     (tmp / "nocount.lay").write_text(quiver.format(""))
     (tmp / "nobranch.lay").write_text(quiver.format(" 1") + "branch\n")

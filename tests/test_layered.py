@@ -20,7 +20,6 @@ from smonkit.layered import (
     adjunction_check,
     assemble,
     branch_cokernel,
-    build_approximation_triple,
     check_separated_epic,
     check_separated_monic,
     extension_module,
@@ -428,27 +427,6 @@ def test_triple_conditions_planted(ctx_chain3_a2):
     assert not rep2.predicted_semi_gp and rep2.direct.refuted and rep2.agree
 
 
-def test_approximation_triple_injective_case(dual_numbers):
-    t = build_approximation_triple(dual_numbers.simple(1), 2)
-    assert t.phi.is_injective()
-    assert check_separated_monic(assemble(t), ALL).passed
-    rep = triple_conditions(t, 4)
-    assert rep.predicted_semi_gp and rep.direct.certified
-
-
-def test_approximation_triple_non_injective_case(chain3):
-    t = build_approximation_triple(chain3.simple(3), 1)
-    assert t.phi.is_zero()
-    res = check_separated_monic(assemble(t), ALL)
-    assert not res.passed and res.condition == "m2"
-
-
-def test_approximation_triple_projective(chain3):
-    t = build_approximation_triple(chain3.projective(2), 1)
-    assert t.phi.is_injective()
-    assert check_separated_monic(assemble(t), ALL).passed
-
-
 # -- extensions -----------------------------------------------------------------------------------
 
 
@@ -740,17 +718,19 @@ def _reference_phi_conditions(t, bound):
     return phi_epi, None
 
 
-def _approximation_triples(p):
-    for alg in (harness.algebra_three_chain(p=p), harness.algebra_loop_nilpotent(2, p=p)):
-        for v in alg.quiver.vertices:
-            for u in (alg.simple(v), alg.projective(v), alg.injective(v)):
-                for r in (1, 2):
-                    yield build_approximation_triple(u, r)
+def _simple_pair_triples(p):
+    """(S(v), S(v)) over chain3/a2 split at the source, with the arrow
+    acting as zero and as the identity."""
+    ctx = harness.standard_context("chain3", "a2", p=p)
+    for v in ctx.base.quiver.vertices:
+        s = ctx.base.simple(v)
+        for arrow_map in (bqa.zero_hom(s, s), bqa.identity_hom(s)):
+            yield split_at_source(LayeredModule(ctx, (s, s), {"a1": arrow_map}), 2)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_phi_conditions_match_reference(p):
-    triples = list(_approximation_triples(p))
+    triples = list(_simple_pair_triples(p))
     for ctx, xs in _sampled_contexts(p):
         n = max(ctx.factor.quiver.source_vertices())
         triples += [split_at_source(x, n) for x in xs]

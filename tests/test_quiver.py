@@ -1,6 +1,7 @@
 """Path combinatorics of bound quivers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smonkit.quiver import (
     Arrow,
@@ -113,7 +114,8 @@ def test_opposite_arrowless():
 def test_sources_and_topological_order(chain):
     q, _ = chain
     assert q.source_vertices() == [3]
-    assert q.topological_order() == [1, 2, 3]
+    # acyclic labels are a topological order: every arrow goes down
+    assert all(a.source > a.target for a in q.arrows)
     a2 = Quiver(2, [Arrow("a", 2, 1)], acyclic=True)
     assert a2.source_vertices() == [2]
     two_lines = Quiver(4, [Arrow("a", 2, 1), Arrow("b", 4, 3)], acyclic=True)
@@ -125,7 +127,7 @@ def test_cyclic_rejected_where_acyclic_required():
         Quiver(2, [Arrow("a", 1, 2), Arrow("b", 2, 1)], acyclic=True)
     cyc = Quiver(2, [Arrow("a", 1, 2), Arrow("b", 2, 1)])
     with pytest.raises(Cyclic):
-        cyc.topological_order()
+        cyc.source_vertices()
 
 
 def test_acyclic_constructor_relabels():
@@ -138,8 +140,72 @@ def test_acyclic_constructor_relabels():
 def test_admissibility_cap_on_cyclic():
     q = Quiver(1, [Arrow("x", 1, 1)])
     free = MonomialIdeal(q, [])  # the free loop algebra is infinite-dimensional
+    with pytest.raises(NotAdmissible, match="x"):
+        nonzero_paths(q, free)
+    # two loops killing only x*x: every word without x*x survives
+    two = Quiver(1, [Arrow("x", 1, 1), Arrow("y", 1, 1)])
     with pytest.raises(NotAdmissible):
-        nonzero_paths(q, free, cap=16)
+        nonzero_paths(two, MonomialIdeal(two, [make_path(two, ("x", "x"))]))
+    # a long relation: the search stops at y^6, long before the words
+    # avoiding x^6 of length w + 5 = 37 could be listed
+    with pytest.raises(NotAdmissible, match=r"y\*y\*y\*y\*y\*y "):
+        nonzero_paths(two, MonomialIdeal(two, [make_path(two, ("x",) * 6)]))
+
+
+# With at most three arrows and generators of length at most three, windows
+# have m <= 2 arrows and there are w <= 9 of them, so an admissible ideal
+# leaves no nonzero path of length w + m <= 11, while an infinite-dimensional
+# kQ/I has nonzero paths of every length.
+DEPTH = 11
+
+
+def _brute_force_paths(quiver, gens, depth):
+    """Composable arrow words with no generator as a contiguous run, by
+    depth-first search up to ``depth`` arrows, stopping at the first word of
+    that length; returns (words found, whether one reached ``depth``)."""
+    found = [()]
+    stack = [(a.name,) for a in quiver.arrows]
+    while stack:
+        word = stack.pop()
+        if any(word[i : i + len(g)] == g for g in gens for i in range(len(word) - len(g) + 1)):
+            continue
+        found.append(word)
+        if len(word) == depth:
+            return found, True
+        end = quiver.arrow(word[-1]).target
+        stack.extend(word + (a.name,) for a in quiver.arrows_out_of(end))
+    return found, False
+
+
+@st.composite
+def bound_quivers(draw):
+    n = draw(st.integers(1, 2))
+    ends = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), min_size=1, max_size=3))
+    q = Quiver(n, [Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        word = [draw(st.sampled_from(q.arrows))]
+        for _ in range(draw(st.integers(1, 2))):
+            outs = q.arrows_out_of(word[-1].target)
+            if not outs:
+                break
+            word.append(draw(st.sampled_from(outs)))
+        if len(word) >= 2:
+            gens.append(make_path(q, [a.name for a in word]))
+    return q, MonomialIdeal(q, gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bound_quivers())
+def test_admissibility_matches_brute_force(bq):
+    q, ideal = bq
+    words, unbounded = _brute_force_paths(q, [g.arrows for g in ideal.generators], DEPTH)
+    if unbounded:
+        with pytest.raises(NotAdmissible):
+            nonzero_paths(q, ideal)
+    else:
+        got = nonzero_paths(q, ideal)
+        assert sorted(p.arrows for p in got if p.arrows) == sorted(w for w in words if w)
 
 
 def test_generators_must_be_long():
