@@ -13,7 +13,7 @@ not depend on them, and projectives are built from the basis words.
 A module assigns a vector space over F_p to each point and a matrix to
 each arrow; a hom is a point-indexed family of matrices intertwining the
 arrow actions.  On top of the abelian-category plumbing (kernels,
-cokernels, direct sums) the engine provides radicals and tops,
+cokernels, block sums of modules) the engine provides radicals and tops,
 minimal projective covers, syzygies and resolutions, Ext dimensions from
 Hom complexes, vector-space duality, the Hom(-, algebra) star with its
 evaluation map, and bounded semi-Gorenstein-projective /
@@ -52,7 +52,6 @@ __all__ = [
     "hom_space",
     "kernel",
     "cokernel",
-    "direct_sum",
     "check_module",
     "path_span_module",
     "radical",
@@ -424,14 +423,6 @@ def identity_hom(m: Module) -> Hom:
     return m.algebra.hom(m, m, tuple(FpMatrix.identity(m.algebra.p, d) for d in m.dims), check=False)
 
 
-def zero_hom(source: Module, target: Module) -> Hom:
-    mats = tuple(
-        FpMatrix.zeros(source.algebra.p, target.dims[i], source.dims[i])
-        for i in range(len(source.dims))
-    )
-    return source.algebra.hom(source, target, mats, check=False)
-
-
 # -- the Hom functor as a linear system ------------------------------------
 
 
@@ -528,12 +519,6 @@ class CokernelPair(NamedTuple):
     sections: tuple[FpMatrix, ...]
 
 
-class DirectSum(NamedTuple):
-    module: Module
-    inclusions: tuple[Hom, ...]
-    projections: tuple[Hom, ...]
-
-
 def _submodule_from_subspaces(m: Module, spaces: list[Subspace]) -> KernelPair:
     """Realize vertexwise subspaces closed under the arrow action as a module."""
     alg = m.algebra
@@ -586,38 +571,6 @@ def _block_sum(alg: Presentation, mods: list[Module]) -> Module:
         for a in alg.quiver.arrows
     }
     return alg.module(dims, mats)
-
-
-def direct_sum(mods: list[Module]) -> DirectSum:
-    if not mods:
-        raise ValueError("direct_sum needs at least one summand")
-    alg = mods[0].algebra
-    for m in mods[1:]:
-        if m.algebra is not alg:
-            raise AlgebraMismatch("direct sum across algebras")
-    total = _block_sum(alg, mods)
-    incls, projs = [], []
-    for i, m in enumerate(mods):
-        inc_mats, proj_mats = [], []
-        for v in alg.quiver.vertices:
-            before = sum(x.dim(v) for x in mods[:i])
-            inc = np.zeros((total.dim(v), m.dim(v)), dtype=np.int64)
-            for j in range(m.dim(v)):
-                inc[before + j, j] = 1
-            inc_mats.append(FpMatrix(alg.p, inc))
-            proj_mats.append(FpMatrix(alg.p, inc.T))
-        incls.append(alg.hom(m, total, tuple(inc_mats), check=False))
-        projs.append(alg.hom(total, m, tuple(proj_mats), check=False))
-    return DirectSum(total, tuple(incls), tuple(projs))
-
-
-def hom_from_columns(summands: DirectSum, target: Module, blocks: list[Hom]) -> Hom:
-    """Assemble a hom out of a direct sum from homs on the summands."""
-    p = target.algebra.p
-    mats = []
-    for v in target.algebra.quiver.vertices:
-        mats.append(FpMatrix.hstack(p, target.dim(v), [b.mat(v) for b in blocks]))
-    return target.algebra.hom(summands.module, target, tuple(mats))
 
 
 def lift_through_epi(epi: Hom, g: Hom) -> Hom:

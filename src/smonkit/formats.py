@@ -141,9 +141,7 @@ def parse_algebra(text: str, prime_override: int | None = None, acyclic: bool = 
         quiver = Quiver(n, arrows, acyclic=acyclic)
         gens = [make_path(quiver, tuple(reversed(names))) for names in relations]
         return Algebra(quiver, MonomialIdeal(quiver, gens), p)
-    except ParseError:
-        raise
-    except Exception as exc:  # invalid quiver/ideal data reported as a parse failure
+    except (ValueError, KeyError) as exc:  # invalid quiver/ideal data reported as a parse failure
         raise ParseError(no, str(exc)) from exc
 
 
@@ -269,9 +267,7 @@ def parse_layered(
         else:
             factor = Algebra(quiver, MonomialIdeal(quiver, gens), base.p)
             ctx = TensorContext(base, factor)
-    except ParseError:
-        raise
-    except Exception as exc:
+    except (ValueError, KeyError) as exc:
         raise ParseError(no, str(exc)) from exc
     relabel = quiver.vertex_relabeling
     branches: dict[int, Module] = {}

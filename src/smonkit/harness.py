@@ -230,13 +230,27 @@ def _instance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _run_instances(cfg: SuiteConfig, worker) -> list[InstanceRecord]:
+def _run_instances(suite: str, cfg: SuiteConfig, worker) -> list[InstanceRecord]:
+    """One record per instance from ``worker(idx, rng) -> (passed, note, sample)``.
+
+    A failing record's witness is the replay hint, followed by the sample
+    when it is a layered module.
+    """
     indices = (
         [cfg.only_instance]
         if cfg.only_instance is not None
         else list(range(cfg.samples))
     )
-    return [InstanceRecord(idx, *worker(idx, _instance_rng(cfg.seed, idx))) for idx in indices]
+    records = []
+    for idx in indices:
+        passed, note, sample = worker(idx, _instance_rng(cfg.seed, idx))
+        witness = ""
+        if not passed:
+            witness = _replay_hint(suite, cfg, idx)
+            if isinstance(sample, LayeredModule):
+                witness += "\n" + _witness_layered(sample)
+        records.append(InstanceRecord(idx, passed, note, witness))
+    return records
 
 
 def _sub_seed(rng: np.random.Generator) -> int:
@@ -328,11 +342,9 @@ def suite_ce(cfg: SuiteConfig) -> SuiteReport:
         factor_ext = bqa.ext_dims(up, vp, 3)
         rhs = [sum(base_ext[p] * factor_ext[m - p] for p in range(m + 1)) for m in range(4)]
         note = f"dims L{left.dims} M{right.dims} U{up.dims} V{vp.dims} lhs={lhs} rhs={rhs}"
-        if lhs == rhs:
-            return True, note, ""
-        return False, note, _replay_hint("ce", cfg, idx)
+        return lhs == rhs, note, None
 
-    return SuiteReport("ce", cfg.echo(), _run_instances(cfg, worker))
+    return SuiteReport("ce", cfg.echo(), _run_instances("ce", cfg, worker))
 
 
 def suite_adjunction(cfg: SuiteConfig) -> SuiteReport:
@@ -349,14 +361,10 @@ def suite_adjunction(cfg: SuiteConfig) -> SuiteReport:
         for k in range(4):
             for name, (lhs, rhs) in (("branch", rep.branch_side), ("cokernel", rep.coker_side)):
                 if k < len(lhs) and lhs[k] != rhs[k]:
-                    return (
-                        False,
-                        f"{kind}: {name} identity fails at k={k}: {(lhs[k], rhs[k])}",
-                        _replay_hint("adjunction", cfg, idx) + "\n" + _witness_layered(x),
-                    )
-        return True, f"{kind}: identities agree (smon={rep.smon}, kmax={len(rep.coker_side[0]) - 1})", ""
+                    return False, f"{kind}: {name} identity fails at k={k}: {(lhs[k], rhs[k])}", x
+        return True, f"{kind}: identities agree (smon={rep.smon}, kmax={len(rep.coker_side[0]) - 1})", x
 
-    return SuiteReport("adjunction", cfg.echo(), _run_instances(cfg, worker))
+    return SuiteReport("adjunction", cfg.echo(), _run_instances("adjunction", cfg, worker))
 
 
 def _cogenerator_tensor(ctx: TensorContext) -> LayeredModule:
@@ -380,24 +388,16 @@ def suite_smon_perp(cfg: SuiteConfig) -> SuiteReport:
         smon = layered.check_separated_monic(x, all_pred).passed
         perp = vanish(x, cfg.bound)
         if smon == perp:
-            return True, f"{kind}: smon={smon} perp(N={cfg.bound})={perp}", ""
+            return True, f"{kind}: smon={smon} perp(N={cfg.bound})={perp}", x
         if not smon and perp:
             # a short certificate window can miss the refuting degree; escalate
             perp2 = vanish(x, 2 * cfg.bound)
             if not perp2:
-                return True, f"{kind}: smon=False perp resolved at N={2 * cfg.bound}", ""
-            return (
-                False,
-                f"{kind}: smon=False but perp holds at N={cfg.bound} and {2 * cfg.bound}",
-                _replay_hint("smon-perp", cfg, idx) + "\n" + _witness_layered(x),
-            )
-        return (
-            False,
-            f"{kind}: smon=True but ext against the cogenerator is nonzero at N={cfg.bound}",
-            _replay_hint("smon-perp", cfg, idx) + "\n" + _witness_layered(x),
-        )
+                return True, f"{kind}: smon=False perp resolved at N={2 * cfg.bound}", x
+            return False, f"{kind}: smon=False but perp holds at N={cfg.bound} and {2 * cfg.bound}", x
+        return False, f"{kind}: smon=True but ext against the cogenerator is nonzero at N={cfg.bound}", x
 
-    return SuiteReport("smon-perp", cfg.echo(), _run_instances(cfg, worker))
+    return SuiteReport("smon-perp", cfg.echo(), _run_instances("smon-perp", cfg, worker))
 
 
 def suite_lz3(cfg: SuiteConfig) -> SuiteReport:
@@ -420,19 +420,19 @@ def suite_lz3(cfg: SuiteConfig) -> SuiteReport:
         direct = bqa.gp_cert(x, cfg.bound).certified
         viasplit = split_side(x, cfg.bound)
         if direct == viasplit:
-            return True, f"{kind}: layered-gp={direct} smon+branch-gp={viasplit}", ""
+            return True, f"{kind}: layered-gp={direct} smon+branch-gp={viasplit}", x
         direct2 = bqa.gp_cert(x, 2 * cfg.bound).certified
         via2 = split_side(x, 2 * cfg.bound)
         if direct2 == via2:
-            return True, f"{kind}: agreement restored at N={2 * cfg.bound}", ""
+            return True, f"{kind}: agreement restored at N={2 * cfg.bound}", x
         return (
             False,
             f"{kind}: certificates disagree at N={cfg.bound} and N={2 * cfg.bound}"
             f" (direct={direct2}, split={via2})",
-            _replay_hint("lz3", cfg, idx) + "\n" + _witness_layered(x),
+            x,
         )
 
-    return SuiteReport("lz3", cfg.echo(), _run_instances(cfg, worker))
+    return SuiteReport("lz3", cfg.echo(), _run_instances("lz3", cfg, worker))
 
 
 def suite_pd_additivity(cfg: SuiteConfig) -> SuiteReport:
@@ -452,14 +452,11 @@ def suite_pd_additivity(cfg: SuiteConfig) -> SuiteReport:
             u = ctx.factor.projective(1 + int(rng.integers(0, ctx.factor.quiver.n)))
             pdu = 0
         if m.is_zero() or u.is_zero():
-            return True, "zero factor skipped (pd of 0 is conventional)", ""
+            return True, "zero factor skipped (pd of 0 is conventional)", None
         got = bqa.pd_up_to(tensor(ctx, m, u), pdm + pdu + 1)
-        note = f"pd(m)={pdm} pd(u)={pdu} pd(tensor)={got}"
-        if got == pdm + pdu:
-            return True, note, ""
-        return False, note, _replay_hint("pd-add", cfg, idx)
+        return got == pdm + pdu, f"pd(m)={pdm} pd(u)={pdu} pd(tensor)={got}", None
 
-    return SuiteReport("pd-add", cfg.echo(), _run_instances(cfg, worker))
+    return SuiteReport("pd-add", cfg.echo(), _run_instances("pd-add", cfg, worker))
 
 
 def suite_triangular(cfg: SuiteConfig) -> SuiteReport:
@@ -480,12 +477,8 @@ def suite_triangular(cfg: SuiteConfig) -> SuiteReport:
         if not rep.agree:
             rep2 = layered.triple_conditions(t, 2 * cfg.bound)
             if not rep2.agree:
-                return (
-                    False,
-                    f"{kind}: {rep2.render()} (after escalation from N={cfg.bound})",
-                    _replay_hint("triangular", cfg, idx) + "\n" + _witness_layered(x),
-                )
-            return True, f"{kind}: agreement restored at N={2 * cfg.bound}", ""
+                return False, f"{kind}: {rep2.render()} (after escalation from N={cfg.bound})", x
+            return True, f"{kind}: agreement restored at N={2 * cfg.bound}", x
         extra = ""
         if rep.direct.certified:
             mono = t.phi.is_injective()
@@ -497,12 +490,12 @@ def suite_triangular(cfg: SuiteConfig) -> SuiteReport:
                     False,
                     f"{kind}: semi-gp triple without the sharpened shape "
                     f"(mono={mono}, coker-gp={coker_ok}, y-gp={y_ok})",
-                    _replay_hint("triangular", cfg, idx) + "\n" + _witness_layered(x),
+                    x,
                 )
             extra = " sharpened-shape-ok"
-        return True, f"{kind}: {rep.render()}{extra}", ""
+        return True, f"{kind}: {rep.render()}{extra}", x
 
-    records = _run_instances(cfg, worker)
+    records = _run_instances("triangular", cfg, worker)
     report = SuiteReport("triangular", cfg.echo(), records)
     stars = [star for star in y_stars if star is not None]
     lwg_like = all(star.certified for star in stars)
@@ -527,20 +520,17 @@ def suite_weakly_gorenstein(cfg: SuiteConfig) -> SuiteReport:
             side, about = f"layered side ({kind})", ""
         semi = bqa.semi_gp_cert(m, cfg.bound)
         if not semi.certified:
-            return True, f"{side}:{about} not semi-gp ({semi.render()})", ""
+            return True, f"{side}:{about} not semi-gp ({semi.render()})", m
         if bqa.star_cert(m, cfg.bound).certified:
-            return True, f"{side}:{about} semi-gp and gp", ""
+            return True, f"{side}:{about} semi-gp and gp", m
         if not bqa.semi_gp_cert(m, 2 * cfg.bound).certified:
-            return True, f"{side}: refuted as semi-gp at N={2 * cfg.bound}", ""
+            return True, f"{side}: refuted as semi-gp at N={2 * cfg.bound}", m
         full2 = bqa.star_cert(m, 2 * cfg.bound)
         if full2.certified:
-            return True, f"{side}: certified at N={2 * cfg.bound}", ""
-        hint = _replay_hint("weakly-gorenstein", cfg, idx)
-        if isinstance(m, LayeredModule):
-            hint += "\n" + _witness_layered(m)
-        return False, f"{side}: semi-gp but not gp at N={2 * cfg.bound} ({full2.render()})", hint
+            return True, f"{side}: certified at N={2 * cfg.bound}", m
+        return False, f"{side}: semi-gp but not gp at N={2 * cfg.bound} ({full2.render()})", m
 
-    records = _run_instances(cfg, worker)
+    records = _run_instances("weakly-gorenstein", cfg, worker)
     report = SuiteReport("weakly-gorenstein", cfg.echo(), records)
     base_viol = any(not r.passed and r.note.startswith("base side") for r in records)
     lay_viol = any(not r.passed and r.note.startswith("layered side") for r in records)
@@ -748,17 +738,6 @@ def radical_power_inclusion(m: Module, k: int) -> "bqa.Hom":
     return incl
 
 
-SUITE_NAMES = (
-    "ce",
-    "adjunction",
-    "smon-perp",
-    "lz3",
-    "pd-add",
-    "triangular",
-    "weakly-gorenstein",
-    "nakayama",
-)
-
 _SUITES = {
     "ce": suite_ce,
     "adjunction": suite_adjunction,
@@ -769,6 +748,7 @@ _SUITES = {
     "weakly-gorenstein": suite_weakly_gorenstein,
     "nakayama": suite_nakayama,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:

@@ -32,7 +32,7 @@ import numpy as np
 from . import bqa
 from .bqa import Algebra, Certificate, Hom, Module
 from .exactla import FpMatrix, PrimeMismatch, Subspace, null_space, column_space
-from .quiver import Arrow, MonomialIdeal, Path, Quiver, make_path, paths_annihilated_by, paths_annihilating
+from .quiver import Arrow, MonomialIdeal, Path, Quiver, make_path
 
 __all__ = [
     "NotSource",
@@ -99,8 +99,6 @@ class TensorContext(bqa.Presentation):
         self.labels = tuple((v, i) for i in factor.quiver.vertices for v in base.quiver.vertices)
         super().__init__(base.p)
         self._pair_of: dict[Path, tuple[Path, Path]] = {}
-        self._annihilated: dict[str, list[Path]] = {}
-        self._annihilating: dict[str, list[Path]] = {}
 
     @cached_property
     def quiver(self) -> Quiver:
@@ -178,20 +176,6 @@ class TensorContext(bqa.Presentation):
             opp._opposite = self
             self._opposite = opp
         return self._opposite
-
-    def annihilated_by(self, arrow_name: str) -> list[Path]:
-        if arrow_name not in self._annihilated:
-            self._annihilated[arrow_name] = paths_annihilated_by(
-                self.factor.quiver, self.factor.ideal, arrow_name
-            )
-        return self._annihilated[arrow_name]
-
-    def annihilating(self, arrow_name: str) -> list[Path]:
-        if arrow_name not in self._annihilating:
-            self._annihilating[arrow_name] = paths_annihilating(
-                self.factor.quiver, self.factor.ideal, arrow_name
-            )
-        return self._annihilating[arrow_name]
 
     def __repr__(self) -> str:
         return f"TensorContext(base dim {self.base.dim}, factor dim {self.factor.dim}, p={self.p})"
@@ -373,23 +357,26 @@ layered_ext_dims = bqa.ext_dims
 
 def _incoming_total_map(x: LayeredModule, i: int) -> Hom:
     """The combined map (+) over arrows into i of X_{s(a)} -> X_i."""
-    arrows = x.context.factor.quiver.arrows_into(i)
-    if not arrows:
-        return bqa.zero_hom(x.context.base.zero_module(), x.branch(i))
-    ds = bqa.direct_sum([x.branch(a.source) for a in arrows])
-    return bqa.hom_from_columns(ds, x.branch(i), [x.arrow_maps[a.name] for a in arrows])
+    ctx = x.context
+    arrows = ctx.factor.quiver.arrows_into(i)
+    source = bqa._block_sum(ctx.base, [x.branch(a.source) for a in arrows])
+    mats = tuple(
+        FpMatrix.hstack(ctx.p, x.branch(i).dim(v), [x.arrow_maps[a.name].mat(v) for a in arrows])
+        for v in ctx.base.quiver.vertices
+    )
+    return Hom(source, x.branch(i), mats)
 
 
 def _outgoing_total_map(x: LayeredModule, i: int) -> Hom:
     """The paired map X_i -> (+) over arrows out of i of X_{e(a)}."""
-    arrows = x.context.factor.quiver.arrows_out_of(i)
-    if not arrows:
-        return bqa.zero_hom(x.branch(i), x.context.base.zero_module())
-    ds = bqa.direct_sum([x.branch(a.target) for a in arrows])
-    total = bqa.zero_hom(x.branch(i), ds.module)
-    for k, a in enumerate(arrows):
-        total = total + (ds.inclusions[k] @ x.arrow_maps[a.name])
-    return total
+    ctx = x.context
+    arrows = ctx.factor.quiver.arrows_out_of(i)
+    target = bqa._block_sum(ctx.base, [x.branch(a.target) for a in arrows])
+    mats = tuple(
+        FpMatrix.vstack(ctx.p, x.branch(i).dim(v), [x.arrow_maps[a.name].mat(v) for a in arrows])
+        for v in ctx.base.quiver.vertices
+    )
+    return Hom(x.branch(i), target, mats, check=False)
 
 
 def branch_cokernel(x: LayeredModule, i: int) -> bqa.CokernelPair:
@@ -510,18 +497,22 @@ def check_separated_monic(x: LayeredModule, pred: ClassPredicate) -> CheckResult
         arrows = ctx.factor.quiver.arrows_into(i)
         if len(arrows) < 2:
             continue
+        total = _incoming_total_map(x, i)
         for v in ctx.base.quiver.vertices:
-            spaces = [column_space(x.arrow_maps[a.name].mat(v)) for a in arrows]
-            total = Subspace.sum_of(spaces)
-            if total.dim != sum(s.dim for s in spaces):
+            got = total.mat(v).rank()
+            want = sum(x.arrow_maps[a.name].mat(v).rank() for a in arrows)
+            if got != want:
                 return CheckResult(
                     False,
                     "m1",
                     f"vertex {i}, base vertex {v}",
-                    f"sum of incoming images has dim {total.dim} < {sum(s.dim for s in spaces)}",
+                    f"sum of incoming images has dim {got} < {want}",
                 )
     for a in ctx.factor.quiver.arrows:
-        killers = ctx.annihilated_by(a.name)
+        killers = [
+            q for q in ctx.factor.paths
+            if q.length and q.target == a.source and ctx.factor.extend(q, a) is None
+        ]
         for v in ctx.base.quiver.vertices:
             ker = null_space(x.arrow_maps[a.name].mat(v))
             parts = [Subspace.zero(ctx.p, x.branch(a.source).dim(v))]
@@ -556,22 +547,22 @@ def check_separated_epic(x: LayeredModule, pred: ClassPredicate) -> CheckResult:
         arrows = ctx.factor.quiver.arrows_out_of(i)
         if len(arrows) < 2:
             continue
+        total = _outgoing_total_map(x, i)
         for v in ctx.base.quiver.vertices:
-            stacked = FpMatrix.vstack(
-                ctx.p,
-                x.branch(i).dim(v),
-                [x.arrow_maps[a.name].mat(v) for a in arrows],
-            )
+            got = total.mat(v).rank()
             want = sum(x.arrow_maps[a.name].mat(v).rank() for a in arrows)
-            if stacked.rank() != want:
+            if got != want:
                 return CheckResult(
                     False,
                     "e1",
                     f"vertex {i}, base vertex {v}",
-                    f"image of the paired map has dim {stacked.rank()} < {want}",
+                    f"image of the paired map has dim {got} < {want}",
                 )
     for a in ctx.factor.quiver.arrows:
-        killers = ctx.annihilating(a.name)
+        killers = [
+            q for q in ctx.factor.paths
+            if q.length and q.source == a.target and ctx.factor.prepend(a, q) is None
+        ]
         for v in ctx.base.quiver.vertices:
             im = column_space(x.arrow_maps[a.name].mat(v))
             ambient = x.branch(a.target).dim(v)
@@ -859,33 +850,21 @@ def extension_space(sub: LayeredModule, quo: LayeredModule) -> Subspace:
 def extension_module(sub: LayeredModule, quo: LayeredModule, cocycle: np.ndarray) -> LayeredModule:
     """The extension with arrow maps [[sub_a, c_a], [0, quo_a]] from a cocycle vector."""
     ctx = sub.context
-    p = ctx.p
-    arrows = ctx.factor.quiver.arrows
-    nv = ctx.base.quiver.n
-    sums = [bqa.direct_sum([sub.branch(i), quo.branch(i)]) for i in ctx.factor.quiver.vertices]
-    branches = tuple(s.module for s in sums)
+    branches = tuple(
+        bqa._block_sum(ctx.base, [sub.branch(i), quo.branch(i)]) for i in ctx.factor.quiver.vertices
+    )
     off = 0
-    c_mats: dict[tuple[str, int], np.ndarray] = {}
-    for a in arrows:
-        for v in ctx.base.quiver.vertices:
-            r = sub.branch(a.target).dim(v)
-            c = quo.branch(a.source).dim(v)
-            c_mats[(a.name, v)] = cocycle[off : off + r * c].reshape(r, c)
-            off += r * c
     maps = {}
-    for a in arrows:
+    for a in ctx.factor.quiver.arrows:
         mats = []
         for v in ctx.base.quiver.vertices:
             top_left = sub.arrow_maps[a.name].mat(v).data
             bottom_right = quo.arrow_maps[a.name].mat(v).data
-            tw = c_mats[(a.name, v)]
-            rows = sub.branch(a.target).dim(v) + quo.branch(a.target).dim(v)
-            cols = sub.branch(a.source).dim(v) + quo.branch(a.source).dim(v)
-            mat = np.zeros((rows, cols), dtype=np.int64)
-            mat[: top_left.shape[0], : top_left.shape[1]] = top_left
-            mat[: tw.shape[0], top_left.shape[1] :] = tw
-            mat[top_left.shape[0] :, top_left.shape[1] :] = bottom_right
-            mats.append(FpMatrix(p, mat))
+            r, c = top_left.shape[0], bottom_right.shape[1]
+            twist = cocycle[off : off + r * c].reshape(r, c)
+            off += r * c
+            zero = np.zeros((bottom_right.shape[0], top_left.shape[1]), dtype=np.int64)
+            mats.append(FpMatrix(ctx.p, np.block([[top_left, twist], [zero, bottom_right]])))
         maps[a.name] = Hom(branches[a.source - 1], branches[a.target - 1], tuple(mats), check=False)
     return LayeredModule(ctx, branches, maps)
 

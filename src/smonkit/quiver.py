@@ -28,8 +28,6 @@ __all__ = [
     "MonomialIdeal",
     "make_path",
     "nonzero_paths",
-    "paths_annihilated_by",
-    "paths_annihilating",
     "opposite_bound_quiver",
 ]
 
@@ -301,38 +299,6 @@ def nonzero_paths(quiver: Quiver, ideal: MonomialIdeal) -> list[Path]:
         found.extend(nxt)
         frontier = nxt
     return sorted(found)
-
-
-def paths_annihilated_by(quiver: Quiver, ideal: MonomialIdeal, arrow_name: str) -> list[Path]:
-    """Nonzero paths into the arrow's source that die when the arrow follows.
-
-    That is, paths q of length >= 1 ending at s(a) with q outside the
-    ideal but a*q inside it (these govern the kernel condition of
-    separated monicity).
-    """
-    a = quiver.arrow(arrow_name)
-    out = []
-    for q in nonzero_paths(quiver, ideal):
-        if q.length >= 1 and q.target == a.source and ideal.kills_extension(q.arrows + (a.name,)):
-            out.append(q)
-    return out
-
-
-def paths_annihilating(quiver: Quiver, ideal: MonomialIdeal, arrow_name: str) -> list[Path]:
-    """Nonzero paths out of the arrow's target that kill the arrow.
-
-    That is, paths q of length >= 1 starting at e(a) with q*a in the
-    ideal (these govern the image condition of separated epicity).
-    """
-    a = quiver.arrow(arrow_name)
-    out = []
-    for q in nonzero_paths(quiver, ideal):
-        if q.length >= 1 and q.source == a.target:
-            seq = (a.name,) + q.arrows
-            composite = Path(a.source, q.target, seq)
-            if ideal.contains(composite):
-                out.append(q)
-    return out
 
 
 def opposite_bound_quiver(quiver: Quiver, ideal: MonomialIdeal) -> tuple[Quiver, MonomialIdeal]:

@@ -1,6 +1,27 @@
 import pytest
 
-from smonkit import harness, layered
+from smonkit import bqa, harness, layered
+from smonkit.quiver import Arrow, MonomialIdeal, Quiver, make_path
+
+
+def _kron2(p: int) -> bqa.Algebra:
+    """Two parallel arrows u, v: 2 -> 1 and no relations."""
+    q = Quiver(2, [Arrow("u", 2, 1), Arrow("v", 2, 1)], acyclic=True)
+    return bqa.Algebra(q, MonomialIdeal(q, []), p)
+
+
+def _branch4(p: int) -> bqa.Algebra:
+    """a: 4 -> 2, b: 2 -> 1 and c: 3 -> 1 with b*a killed: two arrows
+    into the sink from different sources, plus a relation."""
+    q = Quiver(4, [Arrow("a", 4, 2), Arrow("b", 2, 1), Arrow("c", 3, 1)], acyclic=True)
+    return bqa.Algebra(q, MonomialIdeal(q, [make_path(q, ("a", "b"))]), p)
+
+
+@pytest.fixture(scope="session")
+def wide_factors():
+    """Builders, by name and taking the prime, of the factors with a vertex
+    of two incoming arrows; no stock factor has one."""
+    return {"kron2": _kron2, "branch4": _branch4}
 
 
 @pytest.fixture(scope="session")

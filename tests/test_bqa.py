@@ -18,7 +18,6 @@ from smonkit.bqa import (
     ShapeMismatch,
     check_module,
     cokernel,
-    direct_sum,
     dual_module,
     ext_dims,
     gp_cert,
@@ -36,6 +35,20 @@ from smonkit.bqa import (
     top,
 )
 from smonkit.exactla import FpMatrix, Subspace, column_space, null_space
+
+
+def _sum_module(mods):
+    """The direct sum of modules over one algebra: block-diagonal arrow matrices."""
+    alg = mods[0].algebra
+    dims = tuple(sum(m.dim(v) for m in mods) for v in alg.quiver.vertices)
+    mats = {a.name: FpMatrix.block_diag(alg.p, [m.mats[a.name] for m in mods]) for a in alg.quiver.arrows}
+    return Module(alg, dims, mats)
+
+
+def _zero_hom(source, target):
+    p = source.algebra.p
+    mats = tuple(FpMatrix.zeros(p, target.dim(v), source.dim(v)) for v in source.algebra.quiver.vertices)
+    return bqa.Hom(source, target, mats)
 
 
 # -- structural constants of the chain algebra --------------------------------
@@ -99,7 +112,7 @@ def test_kernel_of_identity_and_cokernel_of_zero(chain3):
     p2 = chain3.projective(2)
     assert kernel(bqa.identity_hom(p2)).module.is_zero()
     z = chain3.zero_module()
-    coker = cokernel(bqa.zero_hom(z, p2))
+    coker = cokernel(_zero_hom(z, p2))
     assert coker.module.dims == p2.dims
 
 
@@ -471,8 +484,7 @@ def test_random_module_budget_one_is_projective(chain3):
 
 
 def test_top_of_projective_sum_is_semisimple(chain3):
-    ds = direct_sum([chain3.projective(2), chain3.projective(3)])
-    t = top(ds.module).module
+    t = top(_sum_module([chain3.projective(2), chain3.projective(3)])).module
     assert all(t.mats[a.name].is_zero() for a in chain3.quiver.arrows)
 
 
@@ -515,7 +527,7 @@ def test_lift_through_epi(chain3):
     lifted = bqa.lift_through_epi(cover.epi, g)
     assert (cover.epi @ lifted) == g
     with pytest.raises(ValueError):
-        bqa.lift_through_epi(bqa.zero_hom(chain3.zero_module(), s2), g)
+        bqa.lift_through_epi(_zero_hom(chain3.zero_module(), s2), g)
     # the map lifted through need not be onto, only contain g's image:
     # P(2) -> P(3) lands in rad P(3)
     _, incl = radical(chain3.projective(3))
@@ -726,7 +738,7 @@ def test_formal_projective_module_matches_word_walk(p):
                 assert w == v and formal.fiber(v)[pos] == (t, alg.quiver.trivial_path(v))
         regular = _word_walk_module(alg, tuple(alg.quiver.vertices))
         assert alg.regular_module() == regular
-        assert bqa.direct_sum([alg.projective(v) for v in alg.quiver.vertices]).module == regular
+        assert _sum_module([alg.projective(v) for v in alg.quiver.vertices]) == regular
 
 
 @pytest.mark.parametrize("p", [2, 3])

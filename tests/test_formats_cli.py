@@ -90,6 +90,23 @@ def test_parse_errors_carry_line_numbers(chain3):
         formats.parse_module(good.replace("dims 1 0 0", "dims 1 0"), chain3)
 
 
+def test_resource_errors_are_not_parse_errors(chain3, ctx_dual_chain3, monkeypatch):
+    # only invalid data is a parse failure; running out of memory is not
+    algebra_text = formats.serialize_algebra(chain3)
+    ctx = ctx_dual_chain3
+    x = layered.tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3))
+    layered_text = formats.serialize_layered(x, "kx2.alg")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(formats, "Algebra", exhausted)
+    with pytest.raises(MemoryError):
+        formats.parse_algebra(algebra_text)
+    with pytest.raises(MemoryError):
+        formats.parse_layered(layered_text, ctx.base)
+
+
 def test_relation_violation_reported_not_raised(dual_numbers):
     text = (
         "smonkit-module v1\nalgebra kx2.alg\ndims 2\nmatrix x\n1 0\n0 1\n"

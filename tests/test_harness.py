@@ -215,6 +215,27 @@ def test_nakayama_failures_carry_replay_hint(dual_numbers, monkeypatch):
     assert report.to_records().count("| replay: smonkit suite nakayama") == len(failed)
 
 
+def test_failure_witnesses_add_only_layered_samples(ctx_dual_chain3, monkeypatch):
+    # break the star half so that semi-gp samples fail on both sides: a
+    # layered sample follows the replay hint in the witness, a base one does not
+    monkeypatch.setattr(bqa, "star_cert", lambda m, bound: bqa.Certificate("REFUTED", bound, "forced"))
+    report = run_suite("weakly-gorenstein", small_cfg(ctx_dual_chain3, samples=12))
+    sides = set()
+    for r in report.records:
+        if r.passed:
+            assert r.witness == ""
+            continue
+        hint, _, sample = r.witness.partition("\n")
+        assert hint == (
+            f"replay: smonkit suite weakly-gorenstein --bound 4 --samples 12 --seed 13 "
+            f"--only-instance {r.index} <context files>"
+        )
+        on_layered_side = r.note.startswith("layered side")
+        assert sample.startswith("smonkit-layered v1") if on_layered_side else sample == ""
+        sides.add(on_layered_side)
+    assert sides == {True, False}
+
+
 def test_witnesses_replayable(ctx_dual_chain3):
     # force a failing record through a planted inconsistency: not possible
     # via the public suites (they pass), so check the record format instead
@@ -224,12 +245,8 @@ def test_witnesses_replayable(ctx_dual_chain3):
     assert all(line.startswith("smon-perp ") for line in lines)
 
 
-def test_suites_over_parallel_arrow_factor(dual_numbers):
-    from smonkit.quiver import Arrow, MonomialIdeal, Quiver
-
-    kron = Quiver(2, [Arrow("u", 2, 1), Arrow("v", 2, 1)], acyclic=True)
-    factor = bqa.Algebra(kron, MonomialIdeal(kron, []), 2)
-    ctx = layered.TensorContext(dual_numbers, factor)
+def test_suites_over_parallel_arrow_factor(dual_numbers, wide_factors):
+    ctx = layered.TensorContext(dual_numbers, wide_factors["kron2"](2))
     for name in ("smon-perp", "lz3", "triangular"):
         cfg = SuiteConfig(context=ctx, bound=4, samples=6, seed=2, context_label="kx2/kron2")
         report = run_suite(name, cfg)
@@ -244,14 +261,10 @@ def test_nakayama_core_characteristic_independent():
     assert core.core_size == 6
 
 
-def test_suites_over_branching_factor(dual_numbers):
+def test_suites_over_branching_factor(dual_numbers, wide_factors):
     # two arrows into the sink from different sources plus a relation:
     # the direct-sum condition mixes distinct source branches here
-    from smonkit.quiver import Arrow, MonomialIdeal, Quiver, make_path
-
-    bq = Quiver(4, [Arrow("a", 4, 2), Arrow("b", 2, 1), Arrow("c", 3, 1)], acyclic=True)
-    factor = bqa.Algebra(bq, MonomialIdeal(bq, [make_path(bq, ("a", "b"))]), 2)
-    ctx = layered.TensorContext(dual_numbers, factor)
+    ctx = layered.TensorContext(dual_numbers, wide_factors["branch4"](2))
     for name in ("smon-perp", "lz3", "adjunction"):
         cfg = SuiteConfig(context=ctx, bound=4, samples=6, seed=23, context_label="kx2/branch4")
         report = run_suite(name, cfg)

@@ -13,6 +13,7 @@ from smonkit import bqa, harness, layered
 from smonkit.bqa import ShapeMismatch
 from smonkit.exactla import FpMatrix, Subspace, column_space, null_space, solve_many
 from smonkit.layered import (
+    CheckResult,
     ClassPredicate,
     LayeredHom,
     LayeredModule,
@@ -34,6 +35,32 @@ from smonkit.layered import (
 )
 
 ALL = ClassPredicate.all_modules()
+
+
+def _zero_hom(source, target):
+    p = source.algebra.p
+    mats = tuple(FpMatrix.zeros(p, target.dim(v), source.dim(v)) for v in source.algebra.quiver.vertices)
+    return bqa.Hom(source, target, mats, check=False)
+
+
+def _direct_sum(mods):
+    """A direct sum of base modules with its inclusions and projections,
+    built from identity blocks."""
+    alg = mods[0].algebra
+    dims = tuple(sum(m.dim(v) for m in mods) for v in alg.quiver.vertices)
+    mats = {a.name: FpMatrix.block_diag(alg.p, [m.mats[a.name] for m in mods]) for a in alg.quiver.arrows}
+    total = bqa.Module(alg, dims, mats)
+    incls, projs = [], []
+    for k, m in enumerate(mods):
+        blocks = []
+        for v in alg.quiver.vertices:
+            before = sum(x.dim(v) for x in mods[:k])
+            block = np.zeros((dims[v - 1], m.dim(v)), dtype=np.int64)
+            block[before : before + m.dim(v)] = np.eye(m.dim(v), dtype=np.int64)
+            blocks.append(FpMatrix(alg.p, block))
+        incls.append(bqa.Hom(m, total, tuple(blocks)))
+        projs.append(bqa.Hom(total, m, tuple(FpMatrix(alg.p, b.data.T) for b in blocks)))
+    return total, incls, projs
 
 
 # -- validation -----------------------------------------------------------------
@@ -71,7 +98,7 @@ def test_naturality_violation_reported(ctx_dual_chain3):
         ctx,
         (p, p, ctx.base.zero_module()),
         {
-            "a": bqa.zero_hom(ctx.base.zero_module(), p),
+            "a": _zero_hom(ctx.base.zero_module(), p),
             "b": bad_map,
         },
         check=False,
@@ -419,7 +446,7 @@ def test_triple_conditions_planted(ctx_chain3_a2):
     bad = LayeredModule(
         ctx,
         (zero, ctx.base.simple(3)),
-        {"a1": bqa.zero_hom(ctx.base.simple(3), zero)},
+        {"a1": _zero_hom(ctx.base.simple(3), zero)},
     )
     rep2 = triple_conditions(split_at_source(bad, 2), 4)
     assert not rep2.y_perp.certified
@@ -503,7 +530,7 @@ def test_m1_passes_with_independent_images(kronecker_ctx):
 
     ctx = kronecker_ctx
     one = ctx.base.projective(1)
-    two = bqa.direct_sum([one, one]).module
+    two = _direct_sum([one, one])[0]
     e1 = Hom(one, two, (FpMatrix(2, [[1], [0]]),))
     e2 = Hom(one, two, (FpMatrix(2, [[0], [1]]),))
     good = LayeredModule(ctx, (two, one), {"u": e1, "v": e2})
@@ -528,9 +555,9 @@ def test_extension_is_short_exact(ctx_dual_chain3):
     e = extension_module(subm, quom, co)
     incl_parts, proj_parts = [], []
     for i in ctx.factor.quiver.vertices:
-        ds = bqa.direct_sum([subm.branch(i), quom.branch(i)])
-        incl_parts.append(Hom(subm.branch(i), e.branch(i), ds.inclusions[0].mats, check=False))
-        proj_parts.append(Hom(e.branch(i), quom.branch(i), ds.projections[1].mats, check=False))
+        _, incls, projs = _direct_sum([subm.branch(i), quom.branch(i)])
+        incl_parts.append(Hom(subm.branch(i), e.branch(i), incls[0].mats, check=False))
+        proj_parts.append(Hom(e.branch(i), quom.branch(i), projs[1].mats, check=False))
     incl = LayeredHom(subm, e, tuple(incl_parts))  # naturality re-verified here
     proj = LayeredHom(e, quom, tuple(proj_parts))
     assert incl.is_injective() and proj.is_surjective()
@@ -559,6 +586,108 @@ def _sampled_contexts(p):
     for base, factor in (("kx2", "chain3"), ("chain3", "a2")):
         ctx = harness.standard_context(base, factor, p=p)
         yield ctx, [harness.sample_layered_mixed(ctx, rng, 3)[0] for _ in range(6)]
+
+
+def _summed_incoming(x, i):
+    """The incoming total map at i as the sum over arrows a of X_a after the
+    projection onto summand s(a)."""
+    arrows = x.context.factor.quiver.arrows_into(i)
+    if not arrows:
+        return _zero_hom(x.context.base.zero_module(), x.branch(i))
+    total, _, projs = _direct_sum([x.branch(a.source) for a in arrows])
+    out = _zero_hom(total, x.branch(i))
+    for proj, a in zip(projs, arrows):
+        out = out + x.arrow_maps[a.name] @ proj
+    return out
+
+
+def _summed_outgoing(x, i):
+    """The outgoing total map at i as the sum over arrows a of the inclusion
+    of summand e(a) after X_a."""
+    arrows = x.context.factor.quiver.arrows_out_of(i)
+    if not arrows:
+        return _zero_hom(x.branch(i), x.context.base.zero_module())
+    total, incls, _ = _direct_sum([x.branch(a.target) for a in arrows])
+    out = _zero_hom(x.branch(i), total)
+    for incl, a in zip(incls, arrows):
+        out = out + incl @ x.arrow_maps[a.name]
+    return out
+
+
+def _summed_extension(sub, quo, cocycle):
+    """The extension with arrow maps i0 sub_a p0 + i0 c_a p1 + i1 quo_a p1,
+    the cocycle read arrow by arrow, base vertex by base vertex."""
+    ctx = sub.context
+    sums = [_direct_sum([sub.branch(i), quo.branch(i)]) for i in ctx.factor.quiver.vertices]
+    off = 0
+    maps = {}
+    for a in ctx.factor.quiver.arrows:
+        (src, _, projs), (tgt, incls, _) = sums[a.source - 1], sums[a.target - 1]
+        mats = []
+        for v in ctx.base.quiver.vertices:
+            r, c = sub.branch(a.target).dim(v), quo.branch(a.source).dim(v)
+            twist = FpMatrix(ctx.p, cocycle[off : off + r * c].reshape(r, c))
+            off += r * c
+            i0, i1 = (incl.mat(v) for incl in incls)
+            p0, p1 = (proj.mat(v) for proj in projs)
+            mats.append(
+                i0 @ sub.arrow_maps[a.name].mat(v) @ p0
+                + i0 @ twist @ p1
+                + i1 @ quo.arrow_maps[a.name].mat(v) @ p1
+            )
+        maps[a.name] = bqa.Hom(src, tgt, tuple(mats))
+    return LayeredModule(ctx, tuple(s[0] for s in sums), maps)
+
+
+def _summed_m1(x):
+    """The first m1 failure read off sums of column spaces, or None."""
+    ctx = x.context
+    for i in ctx.factor.quiver.vertices:
+        arrows = ctx.factor.quiver.arrows_into(i)
+        if len(arrows) < 2:
+            continue
+        for v in ctx.base.quiver.vertices:
+            spaces = [column_space(x.arrow_maps[a.name].mat(v)) for a in arrows]
+            got, want = Subspace.sum_of(spaces).dim, sum(s.dim for s in spaces)
+            if got != want:
+                return CheckResult(
+                    False, "m1", f"vertex {i}, base vertex {v}", f"sum of incoming images has dim {got} < {want}"
+                )
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_total_maps_and_extensions_match_direct_sums(p, wide_factors):
+    # only factors with two arrows into (kron2, branch4) or out of (kron2) a
+    # vertex reach m1, e1 and total maps of more than one arrow
+    rng = np.random.default_rng(70 + p)
+    base = harness.algebra_loop_nilpotent(2, p=p)
+    m1_seen, extensions = set(), 0
+    for build in wide_factors.values():
+        ctx = layered.TensorContext(base, build(p))
+        xs = [harness.sample_layered_mixed(ctx, rng, 3)[0] for _ in range(8)]
+        # tensors with random factor modules: these also break m1
+        xs += [
+            tensor(ctx, harness.sample_base_module(ctx, rng, 3), harness.sample_factor_module(ctx, rng, 3))
+            for _ in range(6)
+        ]
+        for x in xs:
+            for i in ctx.factor.quiver.vertices:
+                assert layered._incoming_total_map(x, i) == _summed_incoming(x, i)
+                assert layered._outgoing_total_map(x, i) == _summed_outgoing(x, i)
+            got, want = check_separated_monic(x, ALL), _summed_m1(x)
+            if want is None:
+                assert got.condition != "m1"
+            else:
+                assert got == want
+            m1_seen.add(want is None)
+        for sub, quo in zip(xs, xs[1:]):
+            space = extension_space(sub, quo)
+            if space.dim:
+                cocycle = (rng.integers(0, p, size=space.dim) @ space.basis.data) % p
+                assert extension_module(sub, quo, cocycle) == _summed_extension(sub, quo, cocycle)
+                extensions += 1
+    assert m1_seen == {True, False} and extensions
 
 
 def _composite(x, start, word, v):
@@ -724,7 +853,7 @@ def _simple_pair_triples(p):
     ctx = harness.standard_context("chain3", "a2", p=p)
     for v in ctx.base.quiver.vertices:
         s = ctx.base.simple(v)
-        for arrow_map in (bqa.zero_hom(s, s), bqa.identity_hom(s)):
+        for arrow_map in (_zero_hom(s, s), bqa.identity_hom(s)):
             yield split_at_source(LayeredModule(ctx, (s, s), {"a1": arrow_map}), 2)
 
 
@@ -752,6 +881,6 @@ def test_ext_iso_needs_the_induced_map_not_just_dimensions(ctx_chain3_a2, v, fai
     # both sides and only the rank of the induced map can tell them apart
     ctx = ctx_chain3_a2
     s = ctx.base.simple(v)
-    for arrow_map, want in ((bqa.zero_hom(s, s), fails_at), (bqa.identity_hom(s), None)):
+    for arrow_map, want in ((_zero_hom(s, s), fails_at), (bqa.identity_hom(s), None)):
         t = split_at_source(LayeredModule(ctx, (s, s), {"a1": arrow_map}), 2)
         assert triple_conditions(t, 4).ext_iso_failure == want

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smonkit import harness
+from smonkit.bqa import Algebra
 from smonkit.quiver import (
     Arrow,
     Cyclic,
@@ -14,8 +16,6 @@ from smonkit.quiver import (
     make_path,
     nonzero_paths,
     opposite_bound_quiver,
-    paths_annihilated_by,
-    paths_annihilating,
 )
 
 
@@ -49,37 +49,65 @@ def test_nonzero_paths_arrowless():
     assert len(nonzero_paths(q, ideal)) == 4
 
 
+# The paths an arrow kills, as separated monicity (m2) and epicity (e2)
+# read them off the factor algebra's own basis.
+
+
+def _killed_by_following(alg, a):
+    """Nonzero paths q of length >= 1 into s(a) with a*q zero."""
+    return [q for q in alg.paths if q.length and q.target == a.source and alg.extend(q, a) is None]
+
+
+def _killed_by_preceding(alg, a):
+    """Nonzero paths q of length >= 1 out of e(a) with q*a zero."""
+    return [q for q in alg.paths if q.length and q.source == a.target and alg.prepend(a, q) is None]
+
+
 def test_annihilated_by(chain, loop):
-    q, ideal = chain
-    assert [str(p) for p in paths_annihilated_by(q, ideal, "b")] == ["a"]
-    assert paths_annihilated_by(q, ideal, "a") == []
-    lq, li = loop
-    assert [str(p) for p in paths_annihilated_by(lq, li, "x")] == ["x"]
+    alg = Algebra(*chain, 2)
+    assert [str(p) for p in _killed_by_following(alg, alg.quiver.arrow("b"))] == ["a"]
+    assert _killed_by_following(alg, alg.quiver.arrow("a")) == []
+    dual = Algebra(*loop, 2)
+    assert [str(p) for p in _killed_by_following(dual, dual.quiver.arrow("x"))] == ["x"]
 
 
 def test_annihilating(chain, loop):
-    q, ideal = chain
-    assert [str(p) for p in paths_annihilating(q, ideal, "a")] == ["b"]
-    assert paths_annihilating(q, ideal, "b") == []
-    lq, li = loop
-    assert [str(p) for p in paths_annihilating(lq, li, "x")] == ["x"]
+    alg = Algebra(*chain, 2)
+    assert [str(p) for p in _killed_by_preceding(alg, alg.quiver.arrow("a"))] == ["b"]
+    assert _killed_by_preceding(alg, alg.quiver.arrow("b")) == []
+    dual = Algebra(*loop, 2)
+    assert [str(p) for p in _killed_by_preceding(dual, dual.quiver.arrow("x"))] == ["x"]
 
 
-def test_definition_recheck(chain):
-    # re-verify the defining membership conditions after the fact
-    q, ideal = chain
-    for name in ("a", "b"):
-        arrow = q.arrow(name)
-        for p in paths_annihilated_by(q, ideal, name):
-            assert not ideal.contains(p)
-            assert p.target == arrow.source
-            assert ideal.contains(Path(p.source, arrow.target, p.arrows + (name,)))
+def test_definition_recheck(wide_factors):
+    # the lists equal a brute-force reading of the definition through
+    # ideal membership, in the same order, on every factor the suites use
+    builders = [*harness._STANDARD_FACTORS.values(), *wide_factors.values()]
+    factors = [build(p=2) for build in builders]
+    for alg in factors:
+        ideal = alg.ideal
+        for a in alg.quiver.arrows:
+            after = [
+                q for q in nonzero_paths(alg.quiver, ideal)
+                if q.length >= 1 and q.target == a.source
+                and ideal.contains(Path(q.source, a.target, q.arrows + (a.name,)))
+            ]
+            before = [
+                q for q in nonzero_paths(alg.quiver, ideal)
+                if q.length >= 1 and q.source == a.target
+                and ideal.contains(Path(a.source, q.target, (a.name,) + q.arrows))
+            ]
+            assert _killed_by_following(alg, a) == after
+            assert _killed_by_preceding(alg, a) == before
+    assert any(_killed_by_following(alg, a) for alg in factors for a in alg.quiver.arrows)
 
 
 def test_unknown_arrow(chain):
-    q, ideal = chain
+    q, _ = chain
     with pytest.raises(UnknownArrow):
-        paths_annihilated_by(q, ideal, "zz")
+        q.arrow("zz")
+    with pytest.raises(UnknownArrow):
+        make_path(q, ("a", "zz"))
 
 
 def test_nonzero_paths_closed_under_subpaths(chain):
