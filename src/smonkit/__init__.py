@@ -11,7 +11,7 @@ text-format CLI (``cli``).
 from .exactla import FpMatrix, Subspace
 from .quiver import Arrow, MonomialIdeal, Path, Quiver, make_path
 from .bqa import Algebra, Certificate, Hom, Module
-from .layered import ClassPredicate, LayeredHom, LayeredModule, TensorContext, Triple
+from .layered import ClassPredicate, LayeredModule, TensorContext, Triple
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "Hom",
     "Module",
     "ClassPredicate",
-    "LayeredHom",
     "LayeredModule",
     "TensorContext",
     "Triple",

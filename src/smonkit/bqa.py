@@ -12,7 +12,9 @@ not depend on them, and projectives are built from the basis words.
 
 A module assigns a vector space over F_p to each point and a matrix to
 each arrow; a hom is a point-indexed family of matrices intertwining the
-arrow actions.  On top of the abelian-category plumbing (kernels,
+arrow actions, one ``Hom`` type over every presentation.  The module
+factory ``Presentation.module`` builds the module objects of the
+presentation's kind.  On top of the abelian-category plumbing (kernels,
 cokernels, block sums of modules) the engine provides radicals and tops,
 minimal projective covers, syzygies and resolutions, Ext dimensions from
 Hom complexes, vector-space duality, the Hom(-, algebra) star with its
@@ -84,16 +86,15 @@ class Presentation:
     """An algebra as the engine sees it.
 
     A subclass supplies ``p`` (passed to ``__init__``), ``quiver``,
-    ``labels`` (how it names its points), ``word_bases`` (per pair of
-    points (x, y), the basis of e_y P(x) as arrow words in a fixed order,
-    asked for once, on first use), ``extend``, ``prepend``, ``reversal``
-    and ``opposite``.  Projectives, simples, injectives, the regular
-    module and right multiplication are derived here, and built once.  So
-    are certificates: the table ``_certs`` keeps each one by its kind, the
-    module's exact content and the bound, for as long as the algebra
-    object lives.
-    ``module`` and ``hom`` build the module and hom objects of the
-    subclass's kind.
+    ``word_bases`` (per pair of points (x, y), the basis of e_y P(x) as
+    arrow words in a fixed order, asked for once, on first use),
+    ``extend``, ``prepend``, ``reversal`` and ``opposite``.  Projectives,
+    simples, injectives, the regular module and right multiplication are
+    derived here, and built once.  So are certificates: the table
+    ``_certs`` keeps each one by its kind, the module's exact content and
+    the bound, for as long as the algebra object lives.
+    ``module`` builds the module objects of the subclass's kind; a hom
+    between them is a plain ``Hom``.
     """
 
     # how certificate reasons name Ext against the algebra, from a module
@@ -157,9 +158,6 @@ class Presentation:
     def module(self, dims: tuple[int, ...], mats: dict) -> "Module":
         return Module(self, dims, mats)
 
-    def hom(self, source: "Module", target: "Module", mats: tuple[FpMatrix, ...], check: bool = True) -> "Hom":
-        return Hom(source, target, mats, check)
-
     # -- distinguished modules ----------------------------------------------
 
     def simple(self, v: int) -> "Module":
@@ -211,7 +209,7 @@ class Presentation:
                     if composite is not None:
                         mat[self.path_index(a.source, w, composite), col] = 1
                 mats.append(FpMatrix(self.p, mat))
-            self._right_mult[arrow_name] = self.hom(src, tgt, tuple(mats))
+            self._right_mult[arrow_name] = Hom(src, tgt, tuple(mats))
         return self._right_mult[arrow_name]
 
     def zero_module(self) -> "Module":
@@ -234,7 +232,6 @@ class Algebra(Presentation):
         self.ideal = ideal
         self.paths = nonzero_paths(quiver, ideal)  # NotAdmissible on failure
         self.dim = len(self.paths)
-        self.labels = tuple(quiver.vertices)
         super().__init__(p)
 
     def word_bases(self) -> dict[tuple[int, int], list[Path]]:
@@ -402,13 +399,13 @@ class Hom:
         if other.target != self.source:
             raise ShapeMismatch("homs do not compose: middle modules differ")
         mats = tuple(self.mats[i] @ other.mats[i] for i in range(len(self.mats)))
-        return self.source.algebra.hom(other.source, self.target, mats, check=False)
+        return Hom(other.source, self.target, mats, check=False)
 
     def __add__(self, other: "Hom") -> "Hom":
         if other.source != self.source or other.target != self.target:
             raise ShapeMismatch("homs with different endpoints")
         mats = tuple(a + b for a, b in zip(self.mats, other.mats))
-        return self.source.algebra.hom(self.source, self.target, mats, check=False)
+        return Hom(self.source, self.target, mats, check=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hom):
@@ -420,7 +417,7 @@ class Hom:
 
 
 def identity_hom(m: Module) -> Hom:
-    return m.algebra.hom(m, m, tuple(FpMatrix.identity(m.algebra.p, d) for d in m.dims), check=False)
+    return Hom(m, m, tuple(FpMatrix.identity(m.algebra.p, d) for d in m.dims), check=False)
 
 
 # -- the Hom functor as a linear system ------------------------------------
@@ -457,7 +454,7 @@ class HomBasis:
             r, c = self.target.dim(v), self.source.dim(v)
             mats.append(FpMatrix._of(p, vec[off : off + r * c].reshape(r, c)))
             off += r * c
-        return self.source.algebra.hom(self.source, self.target, tuple(mats), check=False)
+        return Hom(self.source, self.target, tuple(mats), check=False)
 
     def homs(self) -> list[Hom]:
         if self._homs is None:
@@ -530,7 +527,7 @@ def _submodule_from_subspaces(m: Module, spaces: list[Subspace]) -> KernelPair:
         mats[a.name] = FpMatrix._of(alg.p, _coords_cols(spaces[a.target - 1], moved))
     sub = alg.module(dims, mats)
     # naturality of incl is M_a incl_s = incl_t coords_a, which _coords_cols checked per arrow
-    return KernelPair(sub, alg.hom(sub, m, tuple(incls), check=False))
+    return KernelPair(sub, Hom(sub, m, tuple(incls), check=False))
 
 
 def _coords_cols(space: Subspace, cols: np.ndarray) -> np.ndarray:
@@ -560,7 +557,7 @@ def cokernel(f: Hom) -> CokernelPair:
     for a in alg.quiver.arrows:
         mats[a.name] = projs[a.target - 1] @ f.target.mats[a.name] @ secs[a.source - 1]
     coker = alg.module(tuple(dims), mats)
-    return CokernelPair(coker, alg.hom(f.target, coker, tuple(projs)), tuple(secs))
+    return CokernelPair(coker, Hom(f.target, coker, tuple(projs)), tuple(secs))
 
 
 def _block_sum(alg: Presentation, mods: list[Module]) -> Module:
@@ -657,12 +654,6 @@ class FormalProjective:
     def is_zero(self) -> bool:
         return not self.vertices
 
-    @property
-    def pairs(self) -> tuple:
-        """The summands' points by their labels: (base vertex, factor vertex)
-        pairs over a tensor context, vertices over a bound quiver algebra."""
-        return tuple(self.algebra.labels[v - 1] for v in self.vertices)
-
     def fiber(self, w: int) -> list[tuple[int, Path]]:
         return self._fibers[w]
 
@@ -685,9 +676,8 @@ class Cover:
     epi: Hom
 
 
-def projective_cover(m: Module, pad_vertex: int | None = None) -> Cover:
-    """Minimal projective cover; ``pad_vertex`` adds a redundant summand
-    (used to exercise resolution-independence of Ext)."""
+def projective_cover(m: Module) -> Cover:
+    """Minimal projective cover."""
     alg = m.algebra
     # the top at v lifts to the basis vectors off the radical's pivot columns
     lifts = [
@@ -696,17 +686,15 @@ def projective_cover(m: Module, pad_vertex: int | None = None) -> Cover:
         for c in range(m.dim(v))
         if c not in rad.pivots
     ]
-    pad = () if pad_vertex is None else (pad_vertex,)
-    formal = FormalProjective(alg, tuple(v for v, _ in lifts) + pad)
+    formal = FormalProjective(alg, tuple(v for v, _ in lifts))
     proj = formal.module
     mats = []
     for w in alg.quiver.vertices:
         mat = np.zeros((m.dim(w), proj.dim(w)), dtype=np.int64)
         for col, (t, q) in enumerate(formal.fiber(w)):
-            if t < len(lifts):  # the padded copy maps to zero
-                mat[:, col] = m.path_matrix(q).data[:, lifts[t][1]]
+            mat[:, col] = m.path_matrix(q).data[:, lifts[t][1]]
         mats.append(FpMatrix._of(alg.p, mat))
-    epi = alg.hom(proj, m, tuple(mats))
+    epi = Hom(proj, m, tuple(mats))
     for v in alg.quiver.vertices:
         if epi.mat(v).rank() != m.dim(v):
             raise RuntimeError("projective cover failed to surject (engine invariant)")
@@ -760,21 +748,18 @@ def _content(m: Module) -> tuple:
     return m.dims, tuple(m.mats[a.name].data.tobytes() for a in m.algebra.quiver.arrows)
 
 
-def resolve(m: Module, length: int, pad_vertex: int | None = None) -> Resolution:
-    """Minimal projective resolution out to P_length (padded first step on request).
+def resolve(m: Module, length: int) -> Resolution:
+    """Minimal projective resolution out to P_length.
 
-    Every syzygy covered so far is kept by content.  The first kernel equal
-    to one of them, Omega^j = Omega^i with i < j, closes the loop: the
-    resolution stops there with ``loop_start`` = i and repeats from P_i on.
-    M itself takes part only without ``pad_vertex``, since a padded first
-    cover is not the minimal one.
+    Every syzygy covered so far, M itself included, is kept by content.
+    The first kernel equal to one of them, Omega^j = Omega^i with i < j,
+    closes the loop: the resolution stops there with ``loop_start`` = i
+    and repeats from P_i on.
     """
-    cover = projective_cover(m, pad_vertex=pad_vertex)
+    cover = projective_cover(m)
     formals = [cover.formal]
     diffs: list[Hom] = []
-    seen: dict[tuple, tuple[int, Cover]] = {}  # syzygy content -> (degree, its cover)
-    if pad_vertex is None:
-        seen[_content(m)] = (0, cover)
+    seen = {_content(m): (0, cover)}  # syzygy content -> (degree, its cover)
     loop_start = None
     current = cover
     for step in range(1, length + 1):
@@ -841,13 +826,12 @@ def hom_complex(res: Resolution, n: Module, kmax: int) -> tuple[list[int], list[
     return cdims, deltas
 
 
-def ext_dims(m: Module, n: Module, kmax: int, resolution: Resolution | None = None) -> list[int]:
+def ext_dims(m: Module, n: Module, kmax: int) -> list[int]:
     """dim Ext^k(m, n) for k = 0..kmax, from one Hom complex; each distinct
     differential of the complex is ranked once."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("Ext between modules over different algebras")
-    res = resolution if resolution is not None else resolve(m, kmax + 1)
-    cdims, deltas = hom_complex(res, n, kmax)
+    cdims, deltas = hom_complex(resolve(m, kmax + 1), n, kmax)
     distinct = {id(d): d for d in deltas}  # hom_complex shares repeated matrices
     rank_of = {key: FpMatrix(n.algebra.p, d).rank() if d.size else 0 for key, d in distinct.items()}
     ranks = [rank_of[id(d)] for d in deltas]
@@ -929,7 +913,7 @@ def _evaluation_against(
                 blocks.append(block.reshape(-1))
             ev[:, k] = bases2[v].space.coords(np.concatenate(blocks) % p)
         mats.append(FpMatrix._of(p, ev))
-    return alg.hom(m, star2, tuple(mats))
+    return Hom(m, star2, tuple(mats))
 
 
 # -- certificates -------------------------------------------------------------

@@ -55,19 +55,15 @@ def _resolve_ref(path: str, ref: str) -> str:
     return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), ref))
 
 
-_algebra_cache: dict[tuple[str, int | None, bool], Algebra] = {}
+def _load_algebra_cached(path: str, args, acyclic: bool = False) -> Algebra:
+    """The algebra file at path, loaded once per invocation into ``args.algebras``."""
+    key = (os.path.abspath(path), acyclic)
+    if key not in args.algebras:
+        args.algebras[key] = load_algebra_file(path, args.prime, acyclic)
+    return args.algebras[key]
 
 
-def _load_algebra_cached(path: str, prime: int | None, acyclic: bool = False) -> Algebra:
-    key = (os.path.abspath(path), prime, acyclic)
-    if key not in _algebra_cache:
-        _algebra_cache[key] = load_algebra_file(path, prime, acyclic)
-    return _algebra_cache[key]
-
-
-def load_module_file(
-    path: str, prime: int | None = None
-) -> tuple[Module, list[str], str]:
+def load_module_file(path: str, args) -> tuple[Module, list[str], str]:
     """Load a module file; returns (module, violations, resolved algebra path)."""
     text = _read(path)
     try:
@@ -77,7 +73,7 @@ def load_module_file(
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
     algebra_path = _resolve_ref(path, ref)
-    algebra = _load_algebra_cached(algebra_path, prime)
+    algebra = _load_algebra_cached(algebra_path, args)
     try:
         module, _, bad = formats.parse_module(text, algebra)
     except ParseError as exc:
@@ -86,7 +82,7 @@ def load_module_file(
 
 
 def load_layered_file(
-    path: str, prime: int | None = None, context: TensorContext | None = None
+    path: str, args, context: TensorContext | None = None
 ) -> tuple[LayeredModule, list[str]]:
     text = _read(path)
     try:
@@ -95,7 +91,9 @@ def load_layered_file(
         ref = " ".join(lines.expect("base"))
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    base = context.base if context is not None else _load_algebra_cached(_resolve_ref(path, ref), prime)
+    base = _load_algebra_cached(_resolve_ref(path, ref), args)
+    if context is not None and base is not context.base:
+        raise CliError(f"{path}: base {ref} is not the base algebra of the first layered module")
     try:
         x, _, bad = formats.parse_layered(text, base, context=context)
     except ParseError as exc:
@@ -112,7 +110,7 @@ def _predicate(args, base: Algebra) -> ClassPredicate:
         if not args.perp:
             raise CliError("--pred PERP_OF needs at least one --perp module file")
         for p in args.perp:
-            m, bad, _ = load_module_file(p, args.prime)
+            m, bad, _ = load_module_file(p, args)
             if bad:
                 raise CliError(f"{p}: " + "; ".join(bad), FAIL)
             if m.algebra is not base:
@@ -134,14 +132,14 @@ def cmd_check(args) -> int:
             load_algebra_file(path, args.prime)
             print(f"{path}: ok (algebra)")
         elif header == formats.MODULE_HEADER:
-            _, bad, _ = load_module_file(path, args.prime)
+            _, bad, _ = load_module_file(path, args)
             if bad:
                 print(f"{path}: INVALID: " + "; ".join(bad))
                 worst = max(worst, FAIL)
             else:
                 print(f"{path}: ok (module)")
         elif header == formats.LAYERED_HEADER:
-            _, bad = load_layered_file(path, args.prime)
+            _, bad = load_layered_file(path, args)
             if bad:
                 print(f"{path}: INVALID: " + "; ".join(bad))
                 worst = max(worst, FAIL)
@@ -152,29 +150,29 @@ def cmd_check(args) -> int:
     return worst
 
 
-def _load_valid_layered(path: str, prime: int | None) -> LayeredModule:
-    x, bad = load_layered_file(path, prime)
+def _load_valid_layered(path: str, args) -> LayeredModule:
+    x, bad = load_layered_file(path, args)
     if bad:
         raise CliError(f"{path}: " + "; ".join(bad), FAIL)
     return x
 
 
 def cmd_smon(args) -> int:
-    x = _load_valid_layered(args.path, args.prime)
+    x = _load_valid_layered(args.path, args)
     res = layered.check_separated_monic(x, _predicate(args, x.context.base))
     print(res.render())
     return PASS if res.passed else FAIL
 
 
 def cmd_sepi(args) -> int:
-    x = _load_valid_layered(args.path, args.prime)
+    x = _load_valid_layered(args.path, args)
     res = layered.check_separated_epic(x, _predicate(args, x.context.base))
     print(res.render())
     return PASS if res.passed else FAIL
 
 
 def cmd_coker(args) -> int:
-    x = _load_valid_layered(args.path, args.prime)
+    x = _load_valid_layered(args.path, args)
     if not 1 <= args.vertex <= x.context.factor.quiver.n:
         raise CliError(f"vertex {args.vertex} outside the factor quiver")
     coker = layered.branch_cokernel(x, args.vertex).module
@@ -188,8 +186,8 @@ def cmd_ext(args) -> int:
     if ha != hb:
         raise CliError("ext needs two module files or two layered files")
     if ha == formats.MODULE_HEADER:
-        m, bad1, _ = load_module_file(args.first, args.prime)
-        n, bad2, _ = load_module_file(args.second, args.prime)
+        m, bad1, _ = load_module_file(args.first, args)
+        n, bad2, _ = load_module_file(args.second, args)
         if bad1 or bad2:
             raise CliError("; ".join(bad1 + bad2), FAIL)
         if m.algebra is not n.algebra:
@@ -197,8 +195,8 @@ def cmd_ext(args) -> int:
         print(bqa.ext_dims(m, n, args.k)[args.k])
         return PASS
     if ha == formats.LAYERED_HEADER:
-        x, bad1 = load_layered_file(args.first, args.prime)
-        y, bad2 = load_layered_file(args.second, args.prime, context=x.context)
+        x, bad1 = load_layered_file(args.first, args)
+        y, bad2 = load_layered_file(args.second, args, context=x.context)
         if bad1 or bad2:
             raise CliError("; ".join(bad1 + bad2), FAIL)
         print(bqa.ext_dims(x, y, args.k)[args.k])
@@ -209,11 +207,11 @@ def cmd_ext(args) -> int:
 def _cert_command(args, semi: bool) -> int:
     header = _header_of(_read(args.path))
     if header == formats.MODULE_HEADER:
-        m, bad, _ = load_module_file(args.path, args.prime)
+        m, bad, _ = load_module_file(args.path, args)
         if bad:
             raise CliError(f"{args.path}: " + "; ".join(bad), FAIL)
     elif header == formats.LAYERED_HEADER:
-        m = _load_valid_layered(args.path, args.prime)
+        m = _load_valid_layered(args.path, args)
     else:
         raise CliError(f"{args.path}: unrecognized header '{header}'")
     cert = bqa.semi_gp_cert(m, args.bound) if semi else bqa.gp_cert(m, args.bound)
@@ -232,8 +230,8 @@ def cmd_semigp(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    m, bad1, base_path = load_module_file(args.base_module, args.prime)
-    u, bad2, _ = load_module_file(args.factor_module, args.prime)
+    m, bad1, base_path = load_module_file(args.base_module, args)
+    u, bad2, _ = load_module_file(args.factor_module, args)
     if bad1 or bad2:
         raise CliError("; ".join(bad1 + bad2), FAIL)
     if not u.algebra.quiver.is_acyclic():
@@ -252,7 +250,7 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_split(args) -> int:
-    x = _load_valid_layered(args.path, args.prime)
+    x = _load_valid_layered(args.path, args)
     try:
         t = layered.split_at_source(x, args.vertex)
     except layered.NotSource as exc:
@@ -281,7 +279,7 @@ def cmd_suite(args) -> int:
     if args.name == "nakayama":
         if len(args.context) != 1:
             raise CliError("the nakayama suite takes one algebra file")
-        algebra = _load_algebra_cached(args.context[0], args.prime)
+        algebra = _load_algebra_cached(args.context[0], args)
         cfg = harness.SuiteConfig(
             algebra=algebra,
             bound=args.bound,
@@ -293,8 +291,8 @@ def cmd_suite(args) -> int:
     else:
         if len(args.context) != 2:
             raise CliError(f"suite {args.name} takes a base and a factor algebra file")
-        base = _load_algebra_cached(args.context[0], args.prime)
-        factor = _load_algebra_cached(args.context[1], args.prime, acyclic=True)
+        base = _load_algebra_cached(args.context[0], args)
+        factor = _load_algebra_cached(args.context[1], args, acyclic=True)
         ctx = TensorContext(base, factor)
         cfg = harness.SuiteConfig(
             context=ctx,
@@ -401,6 +399,7 @@ def _check_ranges(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.algebras = {}  # each invocation reads its algebra files afresh
     try:
         _check_ranges(args)
         return args.fn(args)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bqa import Algebra, Hom, Module
+from .bqa import Algebra, Hom, Module, check_module
 from .exactla import FpMatrix, validate_prime
 from .layered import LayeredModule, TensorContext
 from .quiver import Arrow, MonomialIdeal, Quiver, make_path
@@ -103,6 +103,21 @@ def _int(no: int, token: str, what: str) -> int:
         raise ParseError(no, f"{what}: '{token}' is not an integer") from None
 
 
+def _quiver_line(no: int, parts: list[str], arrows: list[Arrow], relations: list[list[str]]) -> bool:
+    """Read an 'arrow' or 'relation' line into the lists; False for any other keyword."""
+    if parts[0] == "arrow":
+        if len(parts) != 4:
+            raise ParseError(no, "arrow line is 'arrow <name> <source> <target>'")
+        arrows.append(Arrow(parts[1], _int(no, parts[2], "source"), _int(no, parts[3], "target")))
+    elif parts[0] == "relation":
+        if len(parts) < 3:
+            raise ParseError(no, "relation needs at least two arrow names")
+        relations.append(parts[1:])
+    else:
+        return False
+    return True
+
+
 # -- algebra files --------------------------------------------------------------
 
 
@@ -127,15 +142,7 @@ def parse_algebra(text: str, prime_override: int | None = None, acyclic: bool = 
     while not lines.done():
         no, line = lines.next()
         parts = line.split()
-        if parts[0] == "arrow":
-            if len(parts) != 4:
-                raise ParseError(no, "arrow line is 'arrow <name> <source> <target>'")
-            arrows.append(Arrow(parts[1], _int(no, parts[2], "source"), _int(no, parts[3], "target")))
-        elif parts[0] == "relation":
-            if len(parts) < 3:
-                raise ParseError(no, "relation needs at least two arrow names")
-            relations.append(parts[1:])
-        else:
+        if not _quiver_line(no, parts, arrows, relations):
             raise ParseError(no, f"unexpected '{parts[0]}' in algebra file")
     try:
         quiver = Quiver(n, arrows, acyclic=acyclic)
@@ -197,8 +204,6 @@ def parse_module(text: str, algebra: Algebra) -> tuple[Module, str, list[str]]:
         no, line = lines.next()
         raise ParseError(no, f"unexpected trailing content '{line}'")
     module = Module(algebra, dims, mats)
-    from .bqa import check_module
-
     bad = [f"relation {g} violated" for g in check_module(module)]
     return module, ref, bad
 
@@ -248,13 +253,7 @@ def parse_layered(
         parts = line.split()
         if parts[0] == "endquiver":
             break
-        if parts[0] == "arrow":
-            if len(parts) != 4:
-                raise ParseError(no, "arrow line is 'arrow <name> <source> <target>'")
-            arrows.append(Arrow(parts[1], _int(no, parts[2], "source"), _int(no, parts[3], "target")))
-        elif parts[0] == "relation":
-            relations.append(parts[1:])
-        else:
+        if not _quiver_line(no, parts, arrows, relations):
             raise ParseError(no, f"unexpected '{parts[0]}' in quiver block")
     try:
         quiver = Quiver(qn, arrows, acyclic=True)

@@ -54,7 +54,6 @@ __all__ = [
     "as_nakayama",
     "enumerate_indecomposables",
     "uniserial",
-    "gorenstein_core",
     "core_summary",
     "evidence_non_gorenstein",
     "submodule_pair",
@@ -606,13 +605,6 @@ class CoreReport:
     core_size: int
     orbit_lines: list[str]
     distinguishable: bool
-
-
-def gorenstein_core(nak: NakayamaAlgebra, bound: int) -> tuple[list[tuple[int, int, Module]], CoreReport]:
-    """Certify every indecomposable; the core is the certified
-    non-projectives together with their projective covers."""
-    indecs = enumerate_indecomposables(nak)
-    return indecs, core_summary(nak, indecs, [bqa.gp_cert(m, bound) for _, _, m in indecs])
 
 
 def core_summary(

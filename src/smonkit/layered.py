@@ -8,9 +8,9 @@ homological engine in ``bqa`` (its relations are not monomial, but the
 engine never reads relations), so covers, resolutions, Ext, the star and
 the certificates of layered modules are the engine's own; the branches
 and arrow maps are views of the engine's points and arrows.  A factor
-path acting at a base vertex is an engine word (``at_vertex``), a layered
-hom is checked as an engine hom, and the cocycle system of extensions is
-the engine's Hom system per arrow plus the factor relations.
+path acting at a base vertex is an engine word (``at_vertex``), a hom of
+layered modules is an engine hom read at points, and the cocycle system of
+extensions is the engine's Hom system per arrow plus the factor relations.
 
 This module adds what only the layered reading has: branch cokernels
 and outgoing kernels, tensor constructions, separated monic/epic
@@ -38,7 +38,6 @@ __all__ = [
     "NotSource",
     "TensorContext",
     "LayeredModule",
-    "LayeredHom",
     "ClassPredicate",
     "CheckResult",
     "Triple",
@@ -78,11 +77,10 @@ class TensorContext(bqa.Presentation):
     algebra's prime.  As a presentation, its points are the pairs
     (factor vertex i, base vertex v), numbered i-major; its arrows are
     each base arrow in every branch and each factor arrow at every base
-    vertex; ``labels`` names point (i, v) as the pair (v, i), base vertex
-    first, as covers list their summands.  The basis of P(i, v) at (j, w)
-    is the pairs (factor path i -> j, base path v -> w), factor path
-    major; a pair's word runs its factor path at base vertex v, then its
-    base path in branch j.
+    vertex.  A hom of layered modules is an engine hom read at the points
+    (i, v).  The basis of P(i, v) at (j, w) is the pairs (factor path
+    i -> j, base path v -> w), factor path major; a pair's word runs its
+    factor path at base vertex v, then its base path in branch j.
     """
 
     EXT_REASON = "layered ext^{i}(X, algebra) = {dim}"
@@ -96,7 +94,6 @@ class TensorContext(bqa.Presentation):
             raise ValueError("the tensor factor quiver must be acyclic")
         self.base = base
         self.factor = factor
-        self.labels = tuple((v, i) for i in factor.quiver.vertices for v in base.quiver.vertices)
         super().__init__(base.p)
         self._pair_of: dict[Path, tuple[Path, Path]] = {}
 
@@ -113,7 +110,7 @@ class TensorContext(bqa.Presentation):
             for b in factor.quiver.arrows
             for v in base.quiver.vertices
         ]
-        return Quiver(len(self.labels), arrows)
+        return Quiver(base.quiver.n * factor.quiver.n, arrows)
 
     def point(self, i: int, v: int) -> int:
         """The engine point of factor vertex i and base vertex v."""
@@ -166,9 +163,6 @@ class TensorContext(bqa.Presentation):
 
     def module(self, dims: tuple[int, ...], mats: dict) -> "LayeredModule":
         return LayeredModule.from_points(self, dims, mats)
-
-    def hom(self, source, target, mats: tuple[FpMatrix, ...], check: bool = True) -> "LayeredHom":
-        return LayeredHom.from_points(source, target, mats, check)
 
     def opposite(self) -> "TensorContext":
         if self._opposite is None:
@@ -279,9 +273,6 @@ class LayeredModule(Module):
     def branch(self, i: int) -> Module:
         return self.branches[i - 1]
 
-    def dim_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(b.dims for b in self.branches)
-
     def factor_action(self, q: Path, v: int) -> FpMatrix:
         """The action of factor path q at base vertex v: branch s(q) -> branch e(q)."""
         return self.path_matrix(self.context.at_vertex(q, v))
@@ -301,49 +292,7 @@ class LayeredModule(Module):
         return out
 
     def __repr__(self) -> str:
-        return f"LayeredModule(dims={self.dim_table()})"
-
-
-class LayeredHom(Hom):
-    """A homomorphism of layered modules: one base-algebra hom per branch,
-    read off the engine's matrices per point."""
-
-    __slots__ = ("_parts",)
-
-    def __init__(self, source: LayeredModule, target: LayeredModule, parts: tuple[Hom, ...], check: bool = True):
-        if source.context is not target.context:
-            raise ValueError("layered hom across contexts")
-        q = source.context.factor.quiver
-        if len(parts) != q.n:
-            raise ValueError(f"{len(parts)} parts for {q.n} vertices")
-        for i in q.vertices:
-            part = parts[i - 1]
-            if part.source != source.branch(i) or part.target != target.branch(i):
-                raise ValueError(f"part {i} endpoints do not match the branches")
-        Hom.__init__(self, source, target, tuple(m for part in parts for m in part.mats), check)
-        self._parts = tuple(parts)
-
-    @classmethod
-    def from_points(cls, source: LayeredModule, target: LayeredModule, mats: tuple[FpMatrix, ...], check: bool = True) -> "LayeredHom":
-        """The layered hom with the given matrices at the engine's points."""
-        h = cls.__new__(cls)
-        Hom.__init__(h, source, target, mats, check)
-        h._parts = None
-        return h
-
-    @property
-    def parts(self) -> tuple[Hom, ...]:
-        if self._parts is None:
-            ctx = self.source.context
-            n = ctx.base.quiver.n
-            self._parts = tuple(
-                Hom(self.source.branch(i), self.target.branch(i), self.mats[(i - 1) * n : i * n], check=False)
-                for i in ctx.factor.quiver.vertices
-            )
-        return self._parts
-
-    def part(self, i: int) -> Hom:
-        return self.parts[i - 1]
+        return f"LayeredModule(dims={tuple(b.dims for b in self.branches)})"
 
 
 # The engine's constructions under the names benchmark code calls on
@@ -645,7 +594,7 @@ class Triple:
     x_part: LayeredModule
     y_part: Module
     rad_paths: list[Path]
-    phi: LayeredHom
+    phi: Hom
 
     def block(self, q: Path, v: int) -> FpMatrix:
         """The block of phi at base vertex v through which the radical path
@@ -653,7 +602,7 @@ class Triple:
         j = self.relabel[q.target]
         pos = [r for r in self.rad_paths if self.relabel[r.target] == j].index(q)
         width = self.y_part.dim(v)
-        return FpMatrix(self.full_context.p, self.phi.part(j).mat(v).data[:, pos * width : (pos + 1) * width])
+        return FpMatrix(self.full_context.p, self.phi.mat(self.reduced.point(j, v)).data[:, pos * width : (pos + 1) * width])
 
 
 def _by_target(paths: list[Path], relabel: dict[int, int], reduced: TensorContext) -> dict[int, list[Path]]:
@@ -689,14 +638,12 @@ def split_at_source(x: LayeredModule, n: int) -> Triple:
     y = x.branch(n)
     phi_source = tensor(reduced, y, rad_module)
     by_vertex = _by_target(rad_paths, relabel, reduced)
-    parts = []
-    for j in reduced.factor.quiver.vertices:
-        mats = []
-        for v in ctx.base.quiver.vertices:
-            actions = [x.factor_action(q, v) for q in by_vertex[j]]
-            mats.append(FpMatrix.hstack(ctx.p, x_part.branch(j).dim(v), actions))
-        parts.append(Hom(phi_source.branch(j), x_part.branch(j), tuple(mats)))
-    phi = LayeredHom(phi_source, x_part, tuple(parts))
+    mats = tuple(
+        FpMatrix.hstack(ctx.p, x_part.branch(j).dim(v), [x.factor_action(q, v) for q in by_vertex[j]])
+        for j in reduced.factor.quiver.vertices
+        for v in ctx.base.quiver.vertices
+    )
+    phi = Hom(phi_source, x_part, mats)
     return Triple(ctx, n, reduced, relabel, x_part, y, rad_paths, phi)
 
 

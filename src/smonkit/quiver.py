@@ -113,7 +113,6 @@ class Quiver:
                 )
                 self.vertex_relabeling = relabel
         self.arrows = arrows
-        self.acyclic_flag = acyclic
         self._by_name = {a.name: a for a in arrows}
         self._into: dict[int, tuple[Arrow, ...]] = {
             v: tuple(a for a in arrows if a.target == v) for v in range(1, n + 1)

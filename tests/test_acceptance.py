@@ -45,7 +45,8 @@ def test_criterion_1_nakayama_reproduction(nak):
     report = run_suite("nakayama", cfg)
     elapsed = time.monotonic() - start
     wrapped = harness.as_nakayama(nak)
-    indecs, core = harness.gorenstein_core(wrapped, 60)
+    indecs = harness.enumerate_indecomposables(wrapped)
+    core = harness.core_summary(wrapped, indecs, [bqa.gp_cert(m, 60) for _, _, m in indecs])
     loop6 = harness.algebra_loop_nilpotent(6)
     loop6_count = len(harness.enumerate_indecomposables(harness.as_nakayama(loop6)))
     ok = (

@@ -34,7 +34,6 @@ UNCALLED_EXPORTS = {
     "bqa.star_module",  # Hom(M, A) alone; the certificates go through _star_with_bases
     "bqa.syzygy",  # one step of bqa.resolve
     "harness.algebra_trivial",  # the ground field as an algebra
-    "harness.gorenstein_core",  # certify and summarize; suite_nakayama calls core_summary
     # ROADMAP item 7 parks these two for item 2 (stock contexts where the
     # theorems bite), which may give them a suite caller
     "harness.submodule_pair",

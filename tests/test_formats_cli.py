@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import smonkit
-from smonkit import bqa, formats, harness, layered
+from smonkit import bqa, cli, formats, harness, layered
 from smonkit.formats import ParseError
 
 
@@ -88,6 +88,13 @@ def test_parse_errors_carry_line_numbers(chain3):
     good = formats.serialize_module(chain3.simple(1), "q3.alg")
     with pytest.raises(ParseError):
         formats.parse_module(good.replace("dims 1 0 0", "dims 1 0"), chain3)
+
+
+def test_short_relation_in_quiver_block_reported_at_its_line(chain3):
+    text = "smonkit-layered v1\nbase q3.alg\nquiver\nvertices 2\narrow q 2 1\nrelation q\nendquiver\n"
+    with pytest.raises(ParseError, match="relation needs at least two arrow names") as err:
+        formats.parse_layered(text, chain3)
+    assert err.value.line == 6
 
 
 def test_resource_errors_are_not_parse_errors(chain3, ctx_dual_chain3, monkeypatch):
@@ -187,6 +194,74 @@ def test_cli_smon_sepi_tensor_split(workdir, chain3, ground_field):
     assert proc.returncode == 0 and "round-trip: exact" in proc.stdout
     out = proc.stdout.split("path a1*a2\n")[1].split("round-trip")[0]
     assert out.splitlines() == ["vertex 1", "vertex 2", "1", "vertex 3", "1"]
+
+
+# Two radical paths, u and v, leave the source 2 of the kron2 factor and end
+# at the same reduced vertex 1: their blocks are the two column halves of
+# the connecting map there.
+SPLIT_KRON2 = """\
+source-vertex: 2
+reduced-factor-vertices: 1
+y-part:
+smonkit-module v1
+algebra <base>
+dims 0 1 1
+matrix a
+1
+matrix b
+x-part:
+smonkit-layered v1
+base <base>
+quiver
+vertices 1
+endquiver
+branch 1
+dims 0 2 2
+matrix a
+1 0
+0 1
+matrix b
+connecting-map:
+path u
+vertex 1
+vertex 2
+1
+0
+vertex 3
+1
+0
+path v
+vertex 1
+vertex 2
+0
+1
+vertex 3
+0
+1
+round-trip: exact
+"""
+
+
+def test_cli_split_output_over_parallel_arrows(workdir, chain3, wide_factors):
+    tmp, files = workdir
+    kron2 = wide_factors["kron2"](2)
+    ctx = layered.TensorContext(chain3, kron2)
+    x = layered.tensor(ctx, chain3.projective(3), kron2.projective(2))
+    (tmp / "kron.rep").write_text(formats.serialize_layered(x, "q3.alg"))
+    proc = run_cli(["split", "kron.rep", "--vertex", "2"], tmp)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == SPLIT_KRON2
+
+
+def test_cli_main_rereads_files_on_each_call(workdir, chain3, capsys):
+    # two in-process invocations share no loaded algebra
+    tmp, files = workdir
+    mod = tmp / "S2.mod"
+    mod.write_text(formats.serialize_module(chain3.simple(2), "q3.alg"))
+    assert cli.main(["check", str(mod)]) == 0
+    files["q3"].write_text("garbage\n")
+    assert cli.main(["check", str(mod)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_predicate_kinds_match_the_library(workdir, chain3, a2):
@@ -293,6 +368,7 @@ MALFORMED = [
     ["suite", "ce", "empty.alg", "a2.alg"],
     ["suite", "ce", "q3.alg", "empty.alg"],
     ["check", "twoloops.alg"],
+    ["ext", "x.lay", "xfree.lay", "--k", "1"],
 ]
 
 
@@ -319,6 +395,14 @@ def test_cli_malformed_input_is_a_usage_error(workdir, chain3, a2, args):
     quiver = "smonkit-layered v1\nbase q3.alg\nquiver\nvertices{}\nendquiver\n"
     (tmp / "nocount.lay").write_text(quiver.format(""))
     (tmp / "nobranch.lay").write_text(quiver.format(" 1") + "branch\n")
+    # the same layered module over q3.alg and over its relation-free twin,
+    # which has the same vertices and arrow names
+    (tmp / "q3free.alg").write_text(files["q3"].read_text().split("relation")[0])
+    lay = formats.serialize_layered(
+        layered.tensor(layered.TensorContext(chain3, a2), chain3.simple(1), a2.projective(2)), "q3.alg"
+    )
+    (tmp / "x.lay").write_text(lay)
+    (tmp / "xfree.lay").write_text(lay.replace("base q3.alg", "base q3free.alg"))
     (tmp / "negdims.mod").write_text(
         "smonkit-module v1\nalgebra q3.alg\ndims -1 1 1\nmatrix a\n1\nmatrix b\n1\n"
     )

@@ -9,8 +9,8 @@ from smonkit.harness import (
     SuiteConfig,
     as_nakayama,
     enumerate_indecomposables,
+    core_summary,
     evidence_non_gorenstein,
-    gorenstein_core,
     nakayama_17_18_18,
     run_suite,
     submodule_pair,
@@ -22,6 +22,12 @@ from smonkit.quiver import MonomialIdeal, Quiver
 @pytest.fixture(scope="module")
 def big_nakayama():
     return nakayama_17_18_18()
+
+
+def _core_report(nak, bound):
+    """The core report over every indecomposable's gp certificate."""
+    indecs = enumerate_indecomposables(nak)
+    return core_summary(nak, indecs, [bqa.gp_cert(m, bound) for _, _, m in indecs])
 
 
 def small_cfg(ctx, **kw):
@@ -140,13 +146,13 @@ def test_enumerated_pairwise_distinguishable(big_nakayama):
 
 def test_core_of_self_injective_is_everything(dual_numbers):
     nak = as_nakayama(dual_numbers)
-    _, core = gorenstein_core(nak, 10)
+    core = _core_report(nak, 10)
     assert core.nonprojective_gp == [(1, 1)]
     assert core.core_size == 2
 
 
 def test_core_of_hereditary_is_empty(a2):
-    _, core = gorenstein_core(as_nakayama(a2), 10)
+    core = _core_report(as_nakayama(a2), 10)
     assert core.nonprojective_gp == [] and core.core_size == 0
 
 
@@ -256,7 +262,7 @@ def test_suites_over_parallel_arrow_factor(dual_numbers, wide_factors):
 def test_nakayama_core_characteristic_independent():
     # the same core reproduces over a different prime
     nak = harness.nakayama_17_18_18(p=3)
-    _, core = gorenstein_core(as_nakayama(nak), 24)
+    core = _core_report(as_nakayama(nak), 24)
     assert core.nonprojective_gp == [(2, 3), (2, 6), (2, 9), (2, 12), (2, 15)]
     assert core.core_size == 6
 

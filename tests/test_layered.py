@@ -15,7 +15,6 @@ from smonkit.exactla import FpMatrix, Subspace, column_space, null_space, solve_
 from smonkit.layered import (
     CheckResult,
     ClassPredicate,
-    LayeredHom,
     LayeredModule,
     NotSource,
     adjunction_check,
@@ -41,6 +40,12 @@ def _zero_hom(source, target):
     p = source.algebra.p
     mats = tuple(FpMatrix.zeros(p, target.dim(v), source.dim(v)) for v in source.algebra.quiver.vertices)
     return bqa.Hom(source, target, mats, check=False)
+
+
+def _layered_hom(source, target, parts, check=True):
+    """The engine hom of layered modules with the parts' matrices at the
+    points (i, v), one base-module hom per branch."""
+    return bqa.Hom(source, target, tuple(m for part in parts for m in part.mats), check)
 
 
 def _direct_sum(mods):
@@ -228,7 +233,7 @@ def test_layered_cover_of_tensor_simple(ctx_dual_chain3):
     m = ctx.base.simple(1)
     x = tensor(ctx, m, ctx.factor.simple(3))
     cover = bqa.projective_cover(x)
-    assert cover.formal.pairs == ((1, 3),)
+    assert cover.formal.vertices == (ctx.point(3, 1),)
 
 
 def test_layered_ext_planted(ctx_dual_chain3):
@@ -286,7 +291,7 @@ def test_layered_resolution_minimality(ctx_dual_chain3):
         rads = bqa.radical_subspaces(d.target)
         for i in ctx.factor.quiver.vertices:
             for v in ctx.base.quiver.vertices:
-                image = column_space(d.part(i).mat(v))
+                image = column_space(d.mat(ctx.point(i, v)))
                 assert image.intersect(rads[ctx.point(i, v) - 1]) == image
 
 
@@ -358,7 +363,7 @@ def test_adjunction_check_matches_per_degree_reference():
 def test_dual_layered_involutive_dims(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     x = random_layered(ctx, 3, 21)
-    assert bqa.dual_module(bqa.dual_module(x)).dim_table() == x.dim_table()
+    assert bqa.dual_module(bqa.dual_module(x)).dims == x.dims
     assert bqa.dual_module(ctx.zero_module()).is_zero()
 
 
@@ -409,7 +414,7 @@ def test_split_of_tensor_projective_a2(ctx_chain3_a2):
     assert t.y_part.dims == m.dims
     assert t.x_part.branch(1).dims == m.dims
     assert [str(q) for q in t.rad_paths] == ["a1"]
-    assert t.phi.part(1).is_bijective()
+    assert t.phi.is_bijective()  # the reduced factor has the one vertex 1
 
 
 def test_split_of_tensor_simple(ctx_chain3_a2):
@@ -545,7 +550,6 @@ def test_layered_star_is_valid(ctx_dual_chain3):
 
 def test_extension_is_short_exact(ctx_dual_chain3):
     from smonkit.bqa import Hom
-    from smonkit.layered import LayeredHom
 
     ctx = ctx_dual_chain3
     subm = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3))
@@ -558,8 +562,8 @@ def test_extension_is_short_exact(ctx_dual_chain3):
         _, incls, projs = _direct_sum([subm.branch(i), quom.branch(i)])
         incl_parts.append(Hom(subm.branch(i), e.branch(i), incls[0].mats, check=False))
         proj_parts.append(Hom(e.branch(i), quom.branch(i), projs[1].mats, check=False))
-    incl = LayeredHom(subm, e, tuple(incl_parts))  # naturality re-verified here
-    proj = LayeredHom(e, quom, tuple(proj_parts))
+    incl = _layered_hom(subm, e, incl_parts)  # naturality re-verified here
+    proj = _layered_hom(e, quom, proj_parts)
     assert incl.is_injective() and proj.is_surjective()
     assert (proj @ incl).is_zero()
     assert bqa.kernel(proj).module.total_dim == subm.total_dim
@@ -762,7 +766,7 @@ def test_layered_hom_checks_the_factor_arrows(p):
     for ctx, xs in _sampled_contexts(p):
         for x in xs:
             ident = tuple(bqa.identity_hom(b) for b in x.branches)
-            assert LayeredHom(x, x, ident, check=True).is_natural()
+            assert _layered_hom(x, x, ident, check=True).is_natural()
             arrow = next((a for a in ctx.factor.quiver.arrows if not x.arrow_maps[a.name].is_zero()), None)
             if arrow is None:
                 continue
@@ -778,8 +782,8 @@ def test_layered_hom_checks_the_factor_arrows(p):
                     target, target, tuple(FpMatrix(p, c * np.eye(d, dtype=np.int64)) for d in target.dims)
                 )
                 with pytest.raises(ShapeMismatch):
-                    LayeredHom(x, x, tuple(parts), check=True)
-                assert not LayeredHom(x, x, tuple(parts), check=False).is_natural()
+                    _layered_hom(x, x, parts, check=True)
+                assert not _layered_hom(x, x, parts, check=False).is_natural()
     assert moved > 0
 
 
