@@ -88,11 +88,14 @@ class Presentation:
     A subclass supplies ``p`` (passed to ``__init__``), ``quiver``,
     ``word_bases`` (per pair of points (x, y), the basis of e_y P(x) as
     arrow words in a fixed order, asked for once, on first use),
-    ``extend``, ``prepend``, ``reversal`` and ``opposite``.  Projectives,
+    ``extend``, ``reversal`` and ``opposite``.  Projectives,
     simples, injectives, the regular module and right multiplication are
-    derived here, and built once.  So are certificates: the table
-    ``_certs`` keeps each one by its kind, the module's exact content and
-    the bound, for as long as the algebra object lives.
+    derived here, and built once, as are the sums of projectives
+    (``formal_projective``).  Tables keep, for as long as the algebra
+    object lives, each certificate (``_certs``) by its kind, the module's
+    exact content and the bound, each minimal resolution (``_resolutions``)
+    by the module's exact content, and, on a tensor context, one reduced
+    context per source vertex.
     ``module`` builds the module objects of the subclass's kind; a hom
     between them is a plain ``Hom``.
     """
@@ -113,8 +116,9 @@ class Presentation:
         self._simples: dict[int, Module] = {}
         self._injectives: dict[int, Module] = {}
         self._right_mult: dict[str, Hom] = {}
-        self._regular: Module | None = None
         self._certs: dict[tuple, Certificate] = {}
+        self._formals: dict[tuple[int, ...], FormalProjective] = {}
+        self._resolutions: dict[tuple, Resolution] = {}
         self._opposite = None
 
     # -- the presentation ----------------------------------------------------
@@ -142,10 +146,6 @@ class Presentation:
 
     def extend(self, path: Path, arrow: Arrow) -> Path | None:
         """The basis word of ``path`` followed by ``arrow``; None when it is zero."""
-        raise NotImplementedError
-
-    def prepend(self, arrow: Arrow, path: Path) -> Path | None:
-        """The basis word of ``arrow`` followed by ``path``; None when it is zero."""
         raise NotImplementedError
 
     def reversal(self, path: Path) -> Path:
@@ -192,24 +192,24 @@ class Presentation:
 
     def regular_module(self) -> "Module":
         """The algebra as a left module over itself."""
-        if self._regular is None:
-            self._regular = FormalProjective(self, self.quiver.vertices).module
-        return self._regular
+        return self.formal_projective(self.quiver.vertices).module
+
+    def formal_projective(self, vertices) -> "FormalProjective":
+        """The sum of the projectives at ``vertices``, built once per tuple."""
+        key = tuple(int(v) for v in vertices)
+        if key not in self._formals:
+            self._formals[key] = FormalProjective(self, key)
+        return self._formals[key]
 
     def right_multiplication(self, arrow_name) -> "Hom":
-        """Right multiplication by an arrow a as a left-module map P(e(a)) -> P(s(a))."""
+        """Right multiplication by an arrow a as a left-module map
+        P(e(a)) -> P(s(a)): the generator goes to the word a."""
         if arrow_name not in self._right_mult:
             a = self.quiver.arrow(arrow_name)
-            src, tgt = self.projective(a.target), self.projective(a.source)
-            mats = []
-            for w in self.quiver.vertices:
-                mat = np.zeros((tgt.dim(w), src.dim(w)), dtype=np.int64)
-                for col, q in enumerate(self.paths_between(a.target, w)):
-                    composite = self.prepend(a, q)
-                    if composite is not None:
-                        mat[self.path_index(a.source, w, composite), col] = 1
-                mats.append(FpMatrix(self.p, mat))
-            self._right_mult[arrow_name] = Hom(src, tgt, tuple(mats))
+            tgt = self.projective(a.source)
+            image = np.zeros(tgt.dim(a.target), dtype=np.int64)
+            image[self.path_index(a.source, a.target, self.extend(self.quiver.trivial_path(a.source), a))] = 1
+            self._right_mult[arrow_name] = self.formal_projective((a.target,)).hom_to(tgt, image)
         return self._right_mult[arrow_name]
 
     def zero_module(self) -> "Module":
@@ -247,6 +247,7 @@ class Algebra(Presentation):
         return Path(path.source, arrow.target, seq)
 
     def prepend(self, arrow: Arrow, path: Path) -> Path | None:
+        """The basis word of ``arrow`` followed by ``path``; None when it is zero."""
         composite = Path(arrow.source, path.target, (arrow.name,) + path.arrows)
         return None if self.ideal.contains(composite) else composite
 
@@ -634,20 +635,17 @@ class FormalProjective:
     The realized module's fiber at w is ordered by (copy index, basis
     word), words in the presentation's order; the copy's generator sits
     at its trivial word.  This layout is what makes Hom(-, N) complexes
-    cheap: a hom out of the sum is just a generator image per copy.
+    cheap: a hom out of the sum is just its generator images (``images``).
     """
 
     def __init__(self, algebra: Presentation, vertices: tuple[int, ...]):
         self.algebra = algebra
         self.vertices = tuple(int(v) for v in vertices)
-        self._fibers: dict[int, list[tuple[int, Path]]] = {
-            w: [
-                (t, q)
-                for t, v in enumerate(self.vertices)
-                for q in algebra.paths_between(v, w)
-            ]
+        self._fibers: list[list[tuple[int, Path]]] = [
+            [(t, q) for t, v in enumerate(self.vertices) for q in algebra.paths_between(v, w)]
             for w in algebra.quiver.vertices
-        }
+        ]
+        self._gens = [self.fiber(v).index((t, algebra.quiver.trivial_path(v))) for t, v in enumerate(self.vertices)]
         self._module: Module | None = None
 
     @property
@@ -655,11 +653,24 @@ class FormalProjective:
         return not self.vertices
 
     def fiber(self, w: int) -> list[tuple[int, Path]]:
-        return self._fibers[w]
+        return self._fibers[w - 1]
 
-    def generator_position(self, t: int) -> tuple[int, int]:
-        v = self.vertices[t]
-        return v, self._fibers[v].index((t, self.algebra.quiver.trivial_path(v)))
+    def images(self, h: Hom) -> np.ndarray:
+        """The generator images of a hom out of this sum, copy after copy."""
+        cols = [h.mat(v).data[:, i] for v, i in zip(self.vertices, self._gens)]
+        return np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
+
+    def hom_to(self, target: Module, images: np.ndarray) -> Hom:
+        """The hom to ``target`` sending the generators to ``images``."""
+        p = self.algebra.p
+        gens = np.split(images, np.cumsum([target.dim(v) for v in self.vertices])[:-1])
+        mats = []
+        for w in self.algebra.quiver.vertices:
+            mat = np.zeros((target.dim(w), len(self.fiber(w))), dtype=np.int64)
+            for col, (t, q) in enumerate(self.fiber(w)):
+                mat[:, col] = target.path_matrix(q).data @ gens[t] % p
+            mats.append(FpMatrix._of(p, mat))
+        return Hom(self.module, target, tuple(mats), check=False)
 
     @property
     def module(self) -> Module:
@@ -686,7 +697,7 @@ def projective_cover(m: Module) -> Cover:
         for c in range(m.dim(v))
         if c not in rad.pivots
     ]
-    formal = FormalProjective(alg, tuple(v for v, _ in lifts))
+    formal = alg.formal_projective(v for v, _ in lifts)
     proj = formal.module
     mats = []
     for w in alg.quiver.vertices:
@@ -705,25 +716,28 @@ def syzygy(m: Module) -> Module:
     return kernel(projective_cover(m).epi).module
 
 
-@dataclass
+@dataclass(slots=True)
 class Resolution:
     """A minimal projective resolution ... -> P_1 -> P_0 -> M -> 0 up to a length.
 
-    ``formals[i]`` is P_i and ``diffs[i]`` the differential P_{i+1} -> P_i.
-    When ``loop_start`` = i is set, the syzygy Omega^j, j = len(formals),
-    equals Omega^i entry for entry; covers, kernels and differentials are
-    functions of module content, so the resolution never ends and repeats
-    with period L = j - i: P_{k+L} = P_k and diffs[k+L] = diffs[k] for
-    k >= i.  Only the prefix is stored (j differentials, the last one
-    P_j = P_i -> P_{j-1}); ``formal`` and ``diff`` fold later indices into
-    the loop.
+    ``formals[i]`` is P_i and ``diffs[i]`` the generator images of the
+    differential P_{i+1} -> P_i, ``cover`` those of P_0 -> M; ``diff`` and
+    ``augmentation`` build the homs when asked.  ``closed``: it ended
+    within its length.  When ``loop_start`` = i is set, the syzygy Omega^j,
+    j = len(formals), equals Omega^i entry for entry; covers, kernels and
+    differentials are functions of module content, so the resolution never
+    ends and repeats with period L = j - i: P_{k+L} = P_k and diffs[k+L] =
+    diffs[k] for k >= i.  Only the prefix is stored (j differentials, the
+    last one P_j = P_i -> P_{j-1}); ``formal`` and ``diff`` fold later
+    indices into the loop.
     """
 
-    module: Module
+    module: Module | None  # None in the algebra's table
     formals: list[FormalProjective]
-    diffs: list[Hom]  # diffs[i]: P_{i+1}.module -> P_i.module
-    augmentation: Hom
+    diffs: list[np.ndarray]
+    cover: np.ndarray
     loop_start: int | None = None
+    closed: bool = False
 
     def _fold(self, i: int, stored: int) -> int | None:
         if i < stored:
@@ -740,12 +754,18 @@ class Resolution:
     def diff(self, i: int) -> Hom | None:
         """The differential P_{i+1} -> P_i; None once the resolution has stopped."""
         k = self._fold(i, len(self.diffs))
-        return None if k is None else self.diffs[k]
+        return None if k is None else self.formal(k + 1).hom_to(self.formals[k].module, self.diffs[k])
+
+    @property
+    def augmentation(self) -> Hom:
+        return self.formals[0].hom_to(self.module, self.cover)
 
 
 def _content(m: Module) -> tuple:
-    """A module's exact content: its dims and its arrow matrices in arrow order."""
-    return m.dims, tuple(m.mats[a.name].data.tobytes() for a in m.algebra.quiver.arrows)
+    """A module's exact content: its dims and its arrow matrices in arrow
+    order, their entries in [0, p) packed one byte each when p allows."""
+    dtype = np.uint8 if m.algebra.p <= 256 else np.int64
+    return m.dims, b"".join(m.mats[a.name].data.astype(dtype).tobytes() for a in m.algebra.quiver.arrows)
 
 
 def resolve(m: Module, length: int) -> Resolution:
@@ -754,12 +774,24 @@ def resolve(m: Module, length: int) -> Resolution:
     Every syzygy covered so far, M itself included, is kept by content.
     The first kernel equal to one of them, Omega^j = Omega^i with i < j,
     closes the loop: the resolution stops there with ``loop_start`` = i
-    and repeats from P_i on.
+    and repeats from P_i on.  Kept per algebra object and module content; a
+    shorter request reads it cut, so a loop closed beyond its length stays hidden.
     """
+    table = m.algebra._resolutions
+    key = _content(m)
+    res = table.get(key)
+    if res is None or not res.closed and len(res.diffs) < length:
+        res = table[key] = _minimal_resolution(m, key, length)
+    whole = res.closed and len(res.formals) <= length
+    loop_start = res.loop_start if whole else None
+    return Resolution(m, res.formals[: length + 1], res.diffs[:length], res.cover, loop_start, whole)
+
+
+def _minimal_resolution(m: Module, key: tuple, length: int) -> Resolution:
     cover = projective_cover(m)
     formals = [cover.formal]
-    diffs: list[Hom] = []
-    seen = {_content(m): (0, cover)}  # syzygy content -> (degree, its cover)
+    diffs: list[np.ndarray] = []
+    seen = {key: (0, cover)}  # syzygy content -> (degree, its cover)
     loop_start = None
     current = cover
     for step in range(1, length + 1):
@@ -769,17 +801,19 @@ def resolve(m: Module, length: int) -> Resolution:
         key = _content(ker)
         if key in seen:
             loop_start, current = seen[key]
-            diffs.append(incl @ current.epi)
+            diffs.append(current.formal.images(incl @ current.epi))
             break
         current = projective_cover(ker)
         seen[key] = (step, current)
         formals.append(current.formal)
-        diffs.append(incl @ current.epi)
-    return Resolution(m, formals, diffs, cover.epi, loop_start)
+        diffs.append(current.formal.images(incl @ current.epi))
+    # it closed, finite or in a loop, exactly when it stopped short of P_length
+    return Resolution(None, formals, diffs, cover.formal.images(cover.epi), loop_start, len(formals) <= length)
 
 
-def precompose_matrix(high: FormalProjective, low: FormalProjective, d: Hom, n: Module) -> np.ndarray:
-    """Matrix of (- o d): Hom(low, n) -> Hom(high, n) for d: high -> low.
+def precompose_matrix(high: FormalProjective, low: FormalProjective, images: np.ndarray, n: Module) -> np.ndarray:
+    """Matrix of (- o d): Hom(low, n) -> Hom(high, n) for d: high -> low,
+    given as its generator images ``high.images(d)``.
 
     Uses Hom(P(v), n) = n_v: a hom out of a formal projective is its tuple
     of generator images, and precomposition acts through path actions on n.
@@ -788,9 +822,8 @@ def precompose_matrix(high: FormalProjective, low: FormalProjective, d: Hom, n: 
     col_offs = np.concatenate([[0], np.cumsum([n.dim(v) for v in low.vertices], dtype=np.int64)])
     row_offs = np.concatenate([[0], np.cumsum([n.dim(v) for v in high.vertices], dtype=np.int64)])
     delta = np.zeros((int(row_offs[-1]), int(col_offs[-1])), dtype=np.int64)
-    for s in range(len(high.vertices)):
-        gen_vertex, gen_idx = high.generator_position(s)
-        col = d.mat(gen_vertex).data[:, gen_idx]
+    gens = np.split(images, np.cumsum([len(low.fiber(v)) for v in high.vertices])[:-1])
+    for s, (gen_vertex, col) in enumerate(zip(high.vertices, gens)):
         for pos, (t, q) in enumerate(low.fiber(gen_vertex)):
             c = int(col[pos])
             if c == 0:
@@ -813,16 +846,16 @@ def hom_complex(res: Resolution, n: Module, kmax: int) -> tuple[list[int], list[
     for i in range(kmax + 2):
         f = res.formal(i)
         cdims.append(0 if f is None else sum(n.dim(v) for v in f.vertices))
-    built: dict[int, np.ndarray] = {}  # by identity of the stored differential
+    built: dict[int, np.ndarray] = {}  # by index of the stored differential
     deltas = []
     for i in range(kmax + 1):
         if not (cdims[i] and cdims[i + 1]):
             deltas.append(np.zeros((cdims[i + 1], cdims[i]), dtype=np.int64))
             continue
-        d = res.diff(i)
-        if id(d) not in built:
-            built[id(d)] = precompose_matrix(res.formal(i + 1), res.formal(i), d, n)
-        deltas.append(built[id(d)])
+        k = res._fold(i, len(res.diffs))
+        if k not in built:
+            built[k] = precompose_matrix(res.formal(i + 1), res.formal(i), res.diffs[k], n)
+        deltas.append(built[k])
     return cdims, deltas
 
 
@@ -1039,7 +1072,7 @@ def random_module(algebra: Algebra, budget: int, seed: int) -> Module:
     n = algebra.quiver.n
     count = 1 + int(rng.integers(0, budget))
     verts = sorted(int(rng.integers(1, n + 1)) for _ in range(count))
-    proj = FormalProjective(algebra, tuple(verts)).module
+    proj = algebra.formal_projective(verts).module
     rads = radical_subspaces(proj)
     gens: list[tuple[int, np.ndarray]] = []
     for _ in range(int(rng.integers(0, budget))):

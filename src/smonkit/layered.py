@@ -96,6 +96,7 @@ class TensorContext(bqa.Presentation):
         self.factor = factor
         super().__init__(base.p)
         self._pair_of: dict[Path, tuple[Path, Path]] = {}
+        self._layers: dict[int, tuple] = {}
 
     @cached_property
     def quiver(self) -> Quiver:
@@ -140,22 +141,14 @@ class TensorContext(bqa.Presentation):
         """The engine word of factor path q acting at base vertex v."""
         return self._word(q, self.base.quiver.trivial_path(v))
 
-    def _act(self, path: Path, arrow: Arrow, before: bool) -> Path | None:
-        """The basis word of ``arrow`` acting on ``path``, before or after it."""
+    def extend(self, path: Path, arrow: Arrow) -> Path | None:
         fp, bp = self._pair_of[path]
         kind, name, _ = arrow.name
         alg, old = (self.base, bp) if kind == "A" else (self.factor, fp)
-        a = alg.quiver.arrow(name)
-        new = alg.prepend(a, old) if before else alg.extend(old, a)
+        new = alg.extend(old, alg.quiver.arrow(name))
         if new is None:
             return None
         return self._word(fp, new) if kind == "A" else self._word(new, bp)
-
-    def extend(self, path: Path, arrow: Arrow) -> Path | None:
-        return self._act(path, arrow, before=False)
-
-    def prepend(self, arrow: Arrow, path: Path) -> Path | None:
-        return self._act(path, arrow, before=True)
 
     def reversal(self, path: Path) -> Path:
         fp, bp = self._pair_of[path]
@@ -613,14 +606,17 @@ def _by_target(paths: list[Path], relabel: dict[int, int], reduced: TensorContex
 def _source_layer(ctx: TensorContext, n: int) -> tuple[TensorContext, dict[int, int], list[Path], Module]:
     """The reduced context (source n deleted), the relabelling of the kept
     factor vertices, the radical paths out of n in basis order, and the
-    radical of P(n) as a module over the reduced factor."""
+    radical of P(n) over the reduced factor, kept on the context."""
+    if n in ctx._layers:
+        return ctx._layers[n]
     quiver, relabel = ctx.factor.quiver.delete_vertex(n)
     gens = [make_path(quiver, g.arrows) for g in ctx.factor.ideal.generators if g.source != n]
     factor = Algebra(quiver, MonomialIdeal(quiver, gens), ctx.p)
     reduced = TensorContext(ctx.base, factor)
     paths = sorted(q for q in ctx.factor.paths if q.source == n and q.length >= 1)
     rad_module = bqa.path_span_module(factor, _by_target(paths, relabel, reduced))
-    return reduced, relabel, paths, rad_module
+    ctx._layers[n] = (reduced, relabel, paths, rad_module)
+    return ctx._layers[n]
 
 
 def split_at_source(x: LayeredModule, n: int) -> Triple:
@@ -726,7 +722,7 @@ def _phi_conditions(t: Triple, bound: int) -> tuple[bool, int | None]:
                     chain.append(bqa.lift_through_epi(res_x.augmentation, t.phi @ res_my.augmentation))
                 else:
                     chain.append(bqa.lift_through_epi(res_x.diff(i - 1), chain[-1] @ res_my.diff(i - 1)))
-            fmat = bqa.precompose_matrix(res_my.formal(k), res_x.formal(k), chain[k], reg)
+            fmat = bqa.precompose_matrix(res_my.formal(k), res_x.formal(k), res_my.formal(k).images(chain[k]), reg)
             moved = (z_x.basis.data @ fmat.T) % p
             rank = Subspace.from_spanning(p, z_my.ambient, np.concatenate([moved, b_my.basis.data])).dim - b_my.dim
         if k == 0:
@@ -827,7 +823,7 @@ def random_layered(ctx: TensorContext, budget: int, seed: int) -> LayeredModule:
         (int(rng.integers(1, ctx.base.quiver.n + 1)), int(rng.integers(1, ctx.factor.quiver.n + 1)))
         for _ in range(count)
     )
-    proj = bqa.FormalProjective(ctx, tuple(ctx.point(i, v) for v, i in pairs)).module
+    proj = ctx.formal_projective(ctx.point(i, v) for v, i in pairs).module
     rads = bqa.radical_subspaces(proj)
     seeds: list[tuple[int, np.ndarray]] = []
     for _ in range(int(rng.integers(0, budget))):

@@ -35,6 +35,7 @@ from smonkit.bqa import (
     top,
 )
 from smonkit.exactla import FpMatrix, Subspace, column_space, null_space
+from smonkit.quiver import Arrow, MonomialIdeal, Quiver, make_path
 
 
 def _sum_module(mods):
@@ -253,7 +254,7 @@ def test_resolution_stops_at_first_syzygy_repeat(dual_numbers):
     assert res.loop_start == 0
     assert len(res.diffs) <= 2
     assert res.formal(37) is res.formal(0)
-    assert res.diff(41) is res.diffs[0]
+    assert res.diff(41) == res.diff(0)
     assert pd_up_to(s, 50) is None
 
 
@@ -263,6 +264,50 @@ def test_finite_resolution_has_no_loop(chain3):
     assert res.loop_start is None
     assert len(res.formals) == 3 and res.formal(3) is None and res.diff(2) is None
     assert pd_up_to(s3, 10) == 2
+
+
+def _late_loop_algebra():
+    """The cyclic Nakayama algebra on 1 -> 2 -> 3 -> 1 killing ab, bca and cabc."""
+    q = Quiver(3, [Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 1)])
+    return bqa.Algebra(q, MonomialIdeal(q, [make_path(q, tuple(r)) for r in ("ab", "bca", "cabc")]), 2)
+
+
+def _cold(m):
+    """m over a freshly built algebra, whose tables are empty."""
+    return _late_loop_algebra().module(m.dims, m.mats)
+
+
+def test_served_resolution_matches_a_cold_one():
+    alg = _late_loop_algebra()
+    m = random_module(alg, 3, 4)
+    long = resolve(m, 12)
+    assert (long.loop_start, len(long.formals)) == (2, 4)  # Omega^4 = Omega^2
+    twin = alg.module(m.dims, dict(m.mats))
+    for length in range(7):
+        for x in (m, twin):
+            served, cold = resolve(x, length), resolve(_cold(m), length)
+            assert served.module is x
+            assert (served.loop_start, len(served.formals)) == (cold.loop_start, len(cold.formals))
+            assert [f.vertices for f in served.formals] == [f.vertices for f in cold.formals]
+            for i in range(length + 3):
+                d, e = served.diff(i), cold.diff(i)
+                assert (d is None and e is None) or d.mats == e.mats
+            assert served.augmentation.mats == cold.augmentation.mats
+            assert harness._syzygy_orbit_note(served) == harness._syzygy_orbit_note(cold)
+            assert pd_up_to(x, length) == pd_up_to(_cold(m), length)
+            y = _cold(m)
+            assert ext_dims(x, alg.regular_module(), length) == ext_dims(y, y.algebra.regular_module(), length)
+
+
+def test_repeated_ext_reads_the_resolution_table(monkeypatch):
+    alg = _late_loop_algebra()
+    m, n = random_module(alg, 3, 4), random_module(alg, 3, 7)
+    first = ext_dims(m, n, 5)
+    calls = []
+    monkeypatch.setattr(bqa, "projective_cover", lambda x: calls.append(x) or projective_cover(x))
+    m2, n2 = alg.module(m.dims, dict(m.mats)), alg.module(n.dims, dict(n.mats))
+    assert ext_dims(m2, n2, 5) == first
+    assert calls == []
 
 
 def _padded_cover(m, pad):
@@ -297,7 +342,7 @@ def _unfolded_ext_dims(m, n, kmax, pad=None):
         for i in range(kmax + 2)
     ]
     ranks = [
-        FpMatrix(p, bqa.precompose_matrix(formals[i + 1], formals[i], diffs[i], n)).rank()
+        FpMatrix(p, bqa.precompose_matrix(formals[i + 1], formals[i], formals[i + 1].images(diffs[i]), n)).rank()
         if i < len(diffs) and cdims[i] and cdims[i + 1]
         else 0
         for i in range(kmax + 1)
@@ -740,9 +785,14 @@ def test_formal_projective_module_matches_word_walk(p):
             formal = bqa.FormalProjective(alg, vertices)
             ref = _word_walk_module(alg, vertices)
             assert formal.module == ref and type(formal.module) is type(ref)
+            # the identity sends each copy's generator to the unit vector at its trivial word
+            identity = bqa.identity_hom(formal.module)
+            images = formal.images(identity)
+            cols = np.split(images, np.cumsum([len(formal.fiber(v)) for v in vertices])[:-1])
             for t, v in enumerate(vertices):
-                w, pos = formal.generator_position(t)
-                assert w == v and formal.fiber(v)[pos] == (t, alg.quiver.trivial_path(v))
+                (pos,) = np.flatnonzero(cols[t])
+                assert cols[t][pos] == 1 and formal.fiber(v)[pos] == (t, alg.quiver.trivial_path(v))
+            assert formal.hom_to(formal.module, images) == identity
         regular = _word_walk_module(alg, tuple(alg.quiver.vertices))
         assert alg.regular_module() == regular
         assert _sum_module([alg.projective(v) for v in alg.quiver.vertices]) == regular

@@ -196,6 +196,24 @@ def test_nakayama_suite_small(dual_numbers):
     assert "kupisch: (2,)" in text and "core-size: 2" in text
 
 
+def test_nakayama_core_orbits_read_the_certificates_resolutions(monkeypatch):
+    # the semi-gp certificates resolve every module to bound + 1, past its loop,
+    # so the core summary's orbit notes resolve nothing again
+    covers, inside = [], []
+    cover, summary = bqa.projective_cover, harness.core_summary
+    monkeypatch.setattr(bqa, "projective_cover", lambda m: covers.append(m) or cover(m))
+
+    def counted(*args):
+        before = len(covers)
+        out = summary(*args)
+        inside.append(len(covers) - before)
+        return out
+
+    monkeypatch.setattr(harness, "core_summary", counted)
+    report = run_suite("nakayama", SuiteConfig(algebra=harness.nakayama_17_18_18(), bound=60))
+    assert report.ok and covers and inside == [0]
+
+
 def test_nakayama_suite_only_instance(dual_numbers):
     full = run_suite("nakayama", SuiteConfig(algebra=dual_numbers, bound=6))
     one = run_suite("nakayama", SuiteConfig(algebra=dual_numbers, bound=6, only_instance=1))

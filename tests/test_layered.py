@@ -287,7 +287,7 @@ def test_layered_resolution_minimality(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     x = random_layered(ctx, 3, 11)
     res = bqa.resolve(x, 3)
-    for d in res.diffs:
+    for d in map(res.diff, range(len(res.diffs))):
         rads = bqa.radical_subspaces(d.target)
         for i in ctx.factor.quiver.vertices:
             for v in ctx.base.quiver.vertices:
@@ -431,6 +431,13 @@ def test_split_roundtrip_random(ctx_chain3_a2, ctx_dual_chain3):
         for seed in range(8):
             x = random_layered(ctx, 3, 300 + seed)
             assert assemble(split_at_source(x, n)) == x
+
+
+def test_split_reuses_the_reduced_context():
+    ctx = harness.standard_context("chain3", "a2")
+    t1 = split_at_source(random_layered(ctx, 3, 1), 2)
+    t2 = split_at_source(random_layered(ctx, 3, 2), 2)
+    assert t1.reduced is t2.reduced
 
 
 def test_split_rejects_non_source(ctx_chain3_a2):
@@ -844,7 +851,7 @@ def _reference_phi_conditions(t, bound):
             return phi_epi, k
         if h_x.dim == 0:
             continue
-        fmat = bqa.precompose_matrix(res_my.formal(k), res_x.formal(k), chain[k], reg)
+        fmat = bqa.precompose_matrix(res_my.formal(k), res_x.formal(k), res_my.formal(k).images(chain[k]), reg)
         induced = np.array([coords((fmat @ rep) % p) for rep in h_x.basis.data], dtype=np.int64)
         if FpMatrix(p, induced).rank() != h_x.dim:
             return phi_epi, k
