@@ -17,8 +17,8 @@ factory ``Presentation.module`` builds the module objects of the
 presentation's kind.  On top of the abelian-category plumbing (kernels,
 cokernels, block sums of modules) the engine provides radicals and tops,
 minimal projective covers, syzygies and resolutions, Ext dimensions from
-Hom complexes, vector-space duality, the Hom(-, algebra) star with its
-evaluation map, and bounded semi-Gorenstein-projective /
+Hom complexes, vector-space duality, the Auslander-Bridger transpose,
+and bounded semi-Gorenstein-projective /
 Gorenstein-projective certificates, each computed once per algebra object
 and module content.
 
@@ -65,7 +65,7 @@ __all__ = [
     "ext_dims",
     "pd_up_to",
     "dual_module",
-    "star_module",
+    "transpose",
     "semi_gp_cert",
     "star_cert",
     "gp_cert",
@@ -89,8 +89,8 @@ class Presentation:
     ``word_bases`` (per pair of points (x, y), the basis of e_y P(x) as
     arrow words in a fixed order, asked for once, on first use),
     ``extend``, ``reversal`` and ``opposite``.  Projectives,
-    simples, injectives, the regular module and right multiplication are
-    derived here, and built once, as are the sums of projectives
+    simples, injectives and the regular module are derived here, and
+    built once, as are the sums of projectives
     (``formal_projective``).  Tables keep, for as long as the algebra
     object lives, each certificate (``_certs``) by its kind, the module's
     exact content and the bound, each minimal resolution (``_resolutions``)
@@ -115,7 +115,6 @@ class Presentation:
         self._projectives: dict[int, Module] = {}
         self._simples: dict[int, Module] = {}
         self._injectives: dict[int, Module] = {}
-        self._right_mult: dict[str, Hom] = {}
         self._certs: dict[tuple, Certificate] = {}
         self._formals: dict[tuple[int, ...], FormalProjective] = {}
         self._resolutions: dict[tuple, Resolution] = {}
@@ -200,17 +199,6 @@ class Presentation:
         if key not in self._formals:
             self._formals[key] = FormalProjective(self, key)
         return self._formals[key]
-
-    def right_multiplication(self, arrow_name) -> "Hom":
-        """Right multiplication by an arrow a as a left-module map
-        P(e(a)) -> P(s(a)): the generator goes to the word a."""
-        if arrow_name not in self._right_mult:
-            a = self.quiver.arrow(arrow_name)
-            tgt = self.projective(a.source)
-            image = np.zeros(tgt.dim(a.target), dtype=np.int64)
-            image[self.path_index(a.source, a.target, self.extend(self.quiver.trivial_path(a.source), a))] = 1
-            self._right_mult[arrow_name] = self.formal_projective((a.target,)).hom_to(tgt, image)
-        return self._right_mult[arrow_name]
 
     def zero_module(self) -> "Module":
         dims = tuple(0 for _ in self.quiver.vertices)
@@ -890,7 +878,7 @@ def pd_up_to(m: Module, bound: int) -> int | None:
     return None
 
 
-# -- duality and the star ----------------------------------------------------
+# -- duality and the transpose -------------------------------------------------
 
 
 def dual_module(m: Module) -> Module:
@@ -900,53 +888,29 @@ def dual_module(m: Module) -> Module:
     return opp.module(m.dims, mats)
 
 
-def _star_with_bases(m: Module) -> tuple[Module, dict[int, HomBasis]]:
+def transpose(m: Module) -> Module:
+    """The Auslander-Bridger transpose Tr m = coker(P_0* -> P_1*) over the
+    opposite algebra, from m's minimal presentation P_1 -> P_0 -> m.
+
+    P(v)* = Hom(P(v), algebra) is the opposite's P(v), and the dual
+    differential sends the generator of copy t of P_0* to the words of the
+    presentation's differential that start there, each reversed, in their
+    copies of P_1*.  Tr of a projective is zero.
+    """
     alg = m.algebra
     opp = alg.opposite()
-    bases = {v: hom_space(m, alg.projective(v)) for v in alg.quiver.vertices}
-    dims = tuple(bases[v].dim for v in alg.quiver.vertices)
-    mats: dict[str, FpMatrix] = {}
-    for a in alg.quiver.arrows:
-        rho = alg.right_multiplication(a.name)  # P(e(a)) -> P(s(a))
-        cols = np.zeros((dims[a.source - 1], dims[a.target - 1]), dtype=np.int64)
-        for j, g in enumerate(bases[a.target].homs()):
-            cols[:, j] = bases[a.source].coords(rho @ g)
-        mats[a.name] = FpMatrix._of(alg.p, cols)
-    return opp.module(dims, mats), bases
-
-
-def star_module(m: Module) -> Module:
-    """Hom(m, algebra) with its natural structure over the opposite algebra."""
-    return _star_with_bases(m)[0]
-
-
-def _evaluation_against(
-    m: Module,
-    star1: Module,
-    bases1: dict[int, HomBasis],
-    star2: Module,
-    bases2: dict[int, HomBasis],
-) -> Hom:
-    alg = m.algebra
-    opp = alg.opposite()
-    p = alg.p
-    mats = []
-    for v in alg.quiver.vertices:
-        ev = np.zeros((star2.dim(v), m.dim(v)), dtype=np.int64)
-        opp_proj = opp.projective(v)
-        for k in range(m.dim(v)):
-            blocks = []
-            for w in alg.quiver.vertices:
-                block = np.zeros((opp_proj.dim(w), star1.dim(w)), dtype=np.int64)
-                fiber = alg.paths_between(w, v)
-                for j, g in enumerate(bases1[w].homs()):
-                    val = g.mat(v).data[:, k]
-                    for idx, q in enumerate(fiber):
-                        block[opp.path_index(v, w, alg.reversal(q)), j] = val[idx]
-                blocks.append(block.reshape(-1))
-            ev[:, k] = bases2[v].space.coords(np.concatenate(blocks) % p)
-        mats.append(FpMatrix._of(p, ev))
-    return Hom(m, star2, tuple(mats))
+    res = resolve(m, 1)
+    high, low = res.formal(1), res.formals[0]
+    if high is None:
+        return opp.zero_module()
+    dual_high, dual_low = opp.formal_projective(high.vertices), opp.formal_projective(low.vertices)
+    slots = [{entry: k for k, entry in enumerate(dual_high.fiber(v))} for v in low.vertices]
+    images = [np.zeros(len(dual_high.fiber(v)), dtype=np.int64) for v in low.vertices]
+    gens = np.split(res.diffs[0], np.cumsum([len(low.fiber(u)) for u in high.vertices])[:-1])
+    for s, col in enumerate(gens):
+        for (t, q), c in zip(low.fiber(high.vertices[s]), col):
+            images[t][slots[t][(s, alg.reversal(q))]] = c
+    return cokernel(dual_low.hom_to(dual_high.module, np.concatenate(images))).module
 
 
 # -- certificates -------------------------------------------------------------
@@ -977,12 +941,15 @@ class Certificate:
         return f"UNKNOWN({self.reason})"
 
 
-def _ext_vanishing(m: Module, bound: int, reason: str) -> Certificate:
-    """Ext^i(m, algebra) = 0 for 1 <= i <= bound, refuted at the first nonzero degree.
+def semi_gp_cert(m: Module, bound: int) -> Certificate:
+    """Vanishing of Ext^i(m, algebra) for 1 <= i <= bound.
 
-    Keyed by the reason template too, so a star-side Ext over the opposite
-    algebra never answers for a plain one there."""
-    key = ("ext", reason, _content(m), bound)
+    A nonzero group refutes definitively, at the first nonzero degree;
+    otherwise the verdict is certified up to the bound.  Computed once per
+    algebra object, module content and bound; a repeat request reads the
+    algebra's table.
+    """
+    key = ("ext", _content(m), bound)
     table = m.algebra._certs
     if key not in table:
         dims = ext_dims(m, m.algebra.regular_module(), bound)
@@ -990,36 +957,36 @@ def _ext_vanishing(m: Module, bound: int, reason: str) -> Certificate:
         table[key] = (
             Certificate("CERTIFIED_UP_TO", bound)
             if i is None
-            else Certificate("REFUTED", bound, reason.format(i=i, dim=dims[i]), i)
+            else Certificate("REFUTED", bound, m.algebra.EXT_REASON.format(i=i, dim=dims[i]), i)
         )
     return table[key]
 
 
-def semi_gp_cert(m: Module, bound: int) -> Certificate:
-    """Vanishing of Ext^i(m, algebra) for 1 <= i <= bound.
-
-    A nonzero group refutes definitively; otherwise the verdict is
-    certified up to the bound.  Computed once per algebra object, module
-    content and bound; a repeat request reads the algebra's table.
-    """
-    return _ext_vanishing(m, bound, m.algebra.EXT_REASON)
-
-
 def star_cert(m: Module, bound: int) -> Certificate:
-    """The star half of ``gp_cert``: Ext vanishing of star(m) against the
-    opposite algebra up to the bound, then bijectivity of the evaluation
+    """The star half of ``gp_cert``: Ext^i(m*, opposite algebra) = 0 for
+    1 <= i <= bound and a bijective evaluation map m -> m**.
+
+    Both are read off one Ext sweep of the transpose against the opposite
+    algebra (Auslander-Bridger): Ext^i(m*, -) = Ext^{i+2}(Tr m, -) for
+    i >= 1, and the evaluation map has kernel Ext^1(Tr m, -) and cokernel
+    Ext^2(Tr m, -).  The first nonzero degree k >= 3 refutes the star Ext
+    at i = k - 2; otherwise a nonzero degree 1 or 2 refutes the evaluation
     map.  It equals ``gp_cert`` for a module whose ``semi_gp_cert`` holds.
     Computed once per algebra object, module content and bound; a repeat
-    request reads the algebra's table."""
+    request reads the algebra's table.
+    """
     key = ("star", _content(m), bound)
     table = m.algebra._certs
     if key not in table:
-        star1, b1 = _star_with_bases(m)
-        cert = _ext_vanishing(star1, bound, m.algebra.STAR_EXT_REASON)
-        if not cert.refuted:
-            star2, b2 = _star_with_bases(star1)
-            if not _evaluation_against(m, star1, b1, star2, b2).is_bijective():
-                cert = Certificate("REFUTED", bound, m.algebra.EVALUATION_REASON)
+        alg = m.algebra
+        dims = ext_dims(transpose(m), alg.opposite().regular_module(), bound + 2)
+        k = next((k for k in range(3, bound + 3) if dims[k]), None)
+        if k is not None:
+            cert = Certificate("REFUTED", bound, alg.STAR_EXT_REASON.format(i=k - 2, dim=dims[k]), k - 2)
+        elif dims[1] or dims[2]:
+            cert = Certificate("REFUTED", bound, alg.EVALUATION_REASON)
+        else:
+            cert = Certificate("CERTIFIED_UP_TO", bound)
         table[key] = cert
     return table[key]
 

@@ -639,14 +639,14 @@ _ORBIT_LIMIT = 24
 
 
 def _syzygy_orbit_note(res: bqa.Resolution) -> str:
-    """The syzygy orbit read off a minimal resolution out to ``_ORBIT_LIMIT``:
-    its exact loop Omega^j = Omega^i, its finite length, or neither."""
+    """The syzygy orbit read off a minimal resolution: its exact loop
+    Omega^j = Omega^i, its finite length, or neither within its length."""
     steps = len(res.formals)
     if res.loop_start is not None:
         return f"syzygy orbit closes: omega^{steps} iso to omega^{res.loop_start}"
-    if steps <= _ORBIT_LIMIT:
+    if res.closed:
         return f"syzygy orbit terminates (projective dimension {steps - 1})"
-    return f"syzygy orbit open after {_ORBIT_LIMIT} steps"
+    return f"syzygy orbit open after {steps - 1} steps"
 
 
 def evidence_non_gorenstein(algebra: Algebra, bound: int) -> tuple[int | None, int | None]:

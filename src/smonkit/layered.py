@@ -5,7 +5,7 @@ quiver (Q, I) is a representation of (Q, I) valued in A-modules: one
 A-module per Q-vertex (a branch) plus one A-hom per Q-arrow killing the
 ideal generators.  ``TensorContext`` presents the tensor algebra to the
 homological engine in ``bqa`` (its relations are not monomial, but the
-engine never reads relations), so covers, resolutions, Ext, the star and
+engine never reads relations), so covers, resolutions, Ext, the transpose and
 the certificates of layered modules are the engine's own; the branches
 and arrow maps are views of the engine's points and arrows.  A factor
 path acting at a base vertex is an engine word (``at_vertex``), a hom of

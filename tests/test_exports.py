@@ -31,7 +31,6 @@ def test_engine_modules_declare_exports():
 # kept on purpose; a new export without a caller fails below until it is
 # either used or added here.
 UNCALLED_EXPORTS = {
-    "bqa.star_module",  # Hom(M, A) alone; the certificates go through _star_with_bases
     "bqa.syzygy",  # one step of bqa.resolve
     "harness.algebra_trivial",  # the ground field as an algebra
     # ROADMAP item 7 parks these two for item 2 (stock contexts where the

@@ -32,6 +32,7 @@ from smonkit.layered import (
     tensor,
     triple_conditions,
 )
+from star_oracle import evaluation_map, star_module
 
 ALL = ClassPredicate.all_modules()
 
@@ -552,7 +553,16 @@ def test_m1_passes_with_independent_images(kronecker_ctx):
 def test_layered_star_is_valid(ctx_dual_chain3):
     for seed in (0, 5):
         x = random_layered(ctx_dual_chain3, 3, seed)
-        assert bqa.star_module(x).violations() == []
+        assert star_module(x).violations() == []
+
+
+def test_layered_transpose_is_valid():
+    for p in (2, 3):
+        ctx = harness.standard_context("kx2", "chain3", p=p)
+        rng = np.random.default_rng(11)
+        trs = [bqa.transpose(harness.sample_layered_mixed(ctx, rng, 3)[0]) for _ in range(4)]
+        assert all(tr.algebra is ctx.opposite() and tr.violations() == [] for tr in trs)
+        assert sum(not tr.is_zero() for tr in trs) >= 2
 
 
 def test_extension_is_short_exact(ctx_dual_chain3):
@@ -582,10 +592,8 @@ def test_hom_from_layered_regular_is_underlying_space(ctx_dual_chain3):
     for seed in range(3):
         x = random_layered(ctx, 3, seed)
         assert layered_hom_dim(reg, x) == x.total_dim
-    star1, b1 = bqa._star_with_bases(reg)
-    star2, b2 = bqa._star_with_bases(star1)
-    assert bqa._evaluation_against(reg, star1, b1, star2, b2).is_bijective()
-    assert bqa.star_module(reg).total_dim == reg.total_dim
+    assert evaluation_map(reg).is_bijective()
+    assert star_module(reg).total_dim == reg.total_dim
 
 
 # -- the engine's readings against multiplied-out references ---------------------------------
