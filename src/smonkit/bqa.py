@@ -28,11 +28,13 @@ Modules and homs are immutable; every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
 
-from .exactla import FpMatrix, Subspace, null_space, column_space, rows_array, solve, validate_prime
+from .exactla import FpMatrix, Subspace, null_space, column_space, rows_array, solve_many, validate_prime
 from .quiver import (
     Arrow,
     MonomialIdeal,
@@ -559,42 +561,6 @@ def _block_sum(alg: Presentation, mods: list[Module]) -> Module:
     return alg.module(dims, mats)
 
 
-def lift_through_epi(epi: Hom, g: Hom) -> Hom:
-    """Some hom u with epi . u = g; exists whenever g's source is projective
-    and epi's image contains g's image (epi need not be onto).
-
-    Solved as one linear system combining the naturality equations with the
-    composition constraint.
-    """
-    src, mid = g.source, epi.source
-    alg = src.algebra
-    p = alg.p
-    nat = _naturality_rows(src, mid)
-    sizes = [mid.dim(v) * src.dim(v) for v in alg.quiver.vertices]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offs[-1])
-    comp_blocks, rhs = [], []
-    for v in alg.quiver.vertices:
-        rows = g.target.dim(v) * src.dim(v)
-        if rows == 0:
-            continue
-        block = np.zeros((rows, total), dtype=np.int64)
-        block[:, offs[v - 1] : offs[v]] = np.kron(
-            epi.mat(v).data, np.eye(src.dim(v), dtype=np.int64)
-        )
-        comp_blocks.append(block)
-        rhs.append(g.mat(v).data.reshape(-1))
-    system = np.concatenate([nat] + comp_blocks, axis=0) if comp_blocks else nat
-    target_vec = np.concatenate(
-        [np.zeros(nat.shape[0], dtype=np.int64)] + rhs
-    ) if comp_blocks else np.zeros(nat.shape[0], dtype=np.int64)
-    sol = solve(FpMatrix._of(p, system % p), target_vec)
-    if sol is None:
-        raise ValueError("map does not lift through the epimorphism")
-    basis = HomBasis(src, mid, Subspace.full(p, total))
-    return basis.from_vector(sol)
-
-
 # -- radical, top, covers, resolutions ---------------------------------------
 
 
@@ -634,7 +600,6 @@ class FormalProjective:
             for w in algebra.quiver.vertices
         ]
         self._gens = [self.fiber(v).index((t, algebra.quiver.trivial_path(v))) for t, v in enumerate(self.vertices)]
-        self._module: Module | None = None
 
     @property
     def is_zero(self) -> bool:
@@ -660,13 +625,39 @@ class FormalProjective:
             mats.append(FpMatrix._of(p, mat))
         return Hom(self.module, target, tuple(mats), check=False)
 
-    @property
+    def lift(self, epi: Hom, g: Hom) -> Hom:
+        """Some hom u out of this sum with epi . u = g, for g out of this sum.
+
+        epi need not be onto, only contain g's image: the generators'
+        images under g are solved for through epi, one system per run of
+        copies at a vertex.  Raises ValueError when one does not lift.
+        """
+        images, sols, start = self.images(g), [], 0
+        for v, run in groupby(self.vertices):
+            copies, d = len(list(run)), g.target.dim(v)
+            x = solve_many(epi.mat(v), images[start : start + copies * d].reshape(copies, d).T)
+            if x is None:
+                raise ValueError("map does not lift through the epimorphism")
+            sols.append(x.T.reshape(-1))
+            start += copies * d
+        return self.hom_to(epi.source, np.concatenate(sols) if sols else np.zeros(0, dtype=np.int64))
+
+    @cached_property
     def module(self) -> Module:
         """The block diagonal of the copies' projectives, in copy-major order."""
-        if self._module is None:
-            copies = [self.algebra.projective(v) for v in self.vertices]
-            self._module = copies[0] if len(copies) == 1 else _block_sum(self.algebra, copies)
-        return self._module
+        copies = [self.algebra.projective(v) for v in self.vertices]
+        return copies[0] if len(copies) == 1 else _block_sum(self.algebra, copies)
+
+    @cached_property
+    def radical(self) -> list[Subspace]:
+        """``radical_subspaces(self.module)`` read off the basis: at each
+        vertex, the span of the nontrivial words."""
+        p, out = self.algebra.p, []
+        for w in self.algebra.quiver.vertices:
+            fiber = self.fiber(w)
+            rows = [c for c, (_, q) in enumerate(fiber) if not q.is_trivial]
+            out.append(Subspace(p, len(fiber), FpMatrix._of(p, np.eye(len(fiber), dtype=np.int64)[rows]), tuple(rows)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -1039,8 +1030,8 @@ def random_module(algebra: Algebra, budget: int, seed: int) -> Module:
     n = algebra.quiver.n
     count = 1 + int(rng.integers(0, budget))
     verts = sorted(int(rng.integers(1, n + 1)) for _ in range(count))
-    proj = algebra.formal_projective(verts).module
-    rads = radical_subspaces(proj)
+    formal = algebra.formal_projective(verts)
+    proj, rads = formal.module, formal.radical
     gens: list[tuple[int, np.ndarray]] = []
     for _ in range(int(rng.integers(0, budget))):
         v = int(rng.integers(1, n + 1))

@@ -346,22 +346,28 @@ def tensor(ctx: TensorContext, m: Module, u: Module) -> LayeredModule:
         raise bqa.AlgebraMismatch("first tensor factor must live over the base algebra")
     if u.algebra is not ctx.factor:
         raise bqa.AlgebraMismatch("second tensor factor must live over the factor algebra")
+    p = ctx.p
     branches = []
     for i in ctx.factor.quiver.vertices:
-        copies = u.dim(i)
-        dims = tuple(copies * m.dim(v) for v in ctx.base.quiver.vertices)
-        mats = {
-            a.name: FpMatrix.identity(ctx.p, copies).kron(m.mats[a.name])
-            for a in ctx.base.quiver.arrows
-        }
+        eye = np.eye(u.dim(i), dtype=np.int64)
+        dims = tuple(u.dim(i) * m.dim(v) for v in ctx.base.quiver.vertices)
+        mats = {a.name: FpMatrix._of(p, _kron(eye, m.mats[a.name].data)) for a in ctx.base.quiver.arrows}
         branches.append(Module(ctx.base, dims, mats))
     maps = {}
     for a in ctx.factor.quiver.arrows:
-        parts = []
-        for v in ctx.base.quiver.vertices:
-            parts.append(u.mats[a.name].kron(FpMatrix.identity(ctx.p, m.dim(v))))
-        maps[a.name] = Hom(branches[a.source - 1], branches[a.target - 1], tuple(parts), check=False)
+        parts = tuple(
+            FpMatrix._of(p, _kron(u.mats[a.name].data, np.eye(m.dim(v), dtype=np.int64)))
+            for v in ctx.base.quiver.vertices
+        )
+        maps[a.name] = Hom(branches[a.source - 1], branches[a.target - 1], parts, check=False)
     return LayeredModule(ctx, tuple(branches), maps, check=False)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two matrices, one of them 0/1, so its
+    entries stay reduced: entry (i*b.rows + j, k*b.cols + l) is a[i, k] b[j, l]."""
+    (r, s), (t, w) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(r * t, s * w)
 
 
 # -- coefficient classes and membership checks --------------------------------
@@ -719,9 +725,9 @@ def _phi_conditions(t: Triple, bound: int) -> tuple[bool, int | None]:
         if h_x and h_my:
             for i in range(len(chain), k + 1):
                 if i == 0:
-                    chain.append(bqa.lift_through_epi(res_x.augmentation, t.phi @ res_my.augmentation))
+                    chain.append(res_my.formal(0).lift(res_x.augmentation, t.phi @ res_my.augmentation))
                 else:
-                    chain.append(bqa.lift_through_epi(res_x.diff(i - 1), chain[-1] @ res_my.diff(i - 1)))
+                    chain.append(res_my.formal(i).lift(res_x.diff(i - 1), chain[-1] @ res_my.diff(i - 1)))
             fmat = bqa.precompose_matrix(res_my.formal(k), res_x.formal(k), res_my.formal(k).images(chain[k]), reg)
             moved = (z_x.basis.data @ fmat.T) % p
             rank = Subspace.from_spanning(p, z_my.ambient, np.concatenate([moved, b_my.basis.data])).dim - b_my.dim
@@ -823,8 +829,8 @@ def random_layered(ctx: TensorContext, budget: int, seed: int) -> LayeredModule:
         (int(rng.integers(1, ctx.base.quiver.n + 1)), int(rng.integers(1, ctx.factor.quiver.n + 1)))
         for _ in range(count)
     )
-    proj = ctx.formal_projective(ctx.point(i, v) for v, i in pairs).module
-    rads = bqa.radical_subspaces(proj)
+    formal = ctx.formal_projective(ctx.point(i, v) for v, i in pairs)
+    proj, rads = formal.module, formal.radical
     seeds: list[tuple[int, np.ndarray]] = []
     for _ in range(int(rng.integers(0, budget))):
         i = int(rng.integers(1, ctx.factor.quiver.n + 1))

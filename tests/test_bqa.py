@@ -7,6 +7,8 @@ syzygy-periodic).  All expected values were computed by hand from the
 projective structure before the engine existed and are frozen here.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -630,17 +632,18 @@ def test_lift_through_epi(chain3):
     # factor a hom from a projective through a cover
     s2 = chain3.simple(2)
     cover = projective_cover(s2)
-    g = hom_space(chain3.projective(2), s2).homs()[0]
-    lifted = bqa.lift_through_epi(cover.epi, g)
+    formal = chain3.formal_projective((2,))
+    g = hom_space(formal.module, s2).homs()[0]
+    lifted = formal.lift(cover.epi, g)
     assert (cover.epi @ lifted) == g
     with pytest.raises(ValueError):
-        bqa.lift_through_epi(_zero_hom(chain3.zero_module(), s2), g)
+        formal.lift(_zero_hom(chain3.zero_module(), s2), g)
     # the map lifted through need not be onto, only contain g's image:
     # P(2) -> P(3) lands in rad P(3)
     _, incl = radical(chain3.projective(3))
-    h = hom_space(chain3.projective(2), chain3.projective(3)).homs()[0]
+    h = hom_space(formal.module, chain3.projective(3)).homs()[0]
     assert not incl.is_surjective()
-    assert (incl @ bqa.lift_through_epi(incl, h)) == h
+    assert (incl @ formal.lift(incl, h)) == h
 
 
 def test_star_modules_satisfy_relations(chain3, dual_numbers):
@@ -779,6 +782,24 @@ def test_naturality_rows_and_radicals_match_reference(p):
                     for a in m.algebra.quiver.arrows
                 )
     assert loops > 0  # kx2's loop, alone and in every branch of kx2/chain3
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_formal_projective_radical_matches_elimination(p):
+    # every tuple of up to three points, repeats and every order included
+    presentations = [build(p=p) for build in STOCK_BUILDERS]
+    presentations += [harness.standard_context(b, f, p=p) for b, f in (("kx2", "chain3"), ("chain3", "a2"))]
+    checked = 0
+    for alg in presentations:
+        for size in (1, 2, 3):
+            for points in itertools.product(alg.quiver.vertices, repeat=size):
+                formal = alg.formal_projective(points)
+                want = bqa.radical_subspaces(formal.module)
+                assert formal.radical == want
+                for got, ref in zip(formal.radical, want):
+                    assert np.array_equal(got.basis.data, ref.basis.data) and got.pivots == ref.pivots
+                checked += len(want)
+    assert checked > 1000
 
 
 # -- covers and formal projectives against the word-walk references ----------------

@@ -32,6 +32,7 @@ from smonkit.layered import (
     tensor,
     triple_conditions,
 )
+from lift_oracle import lift_through_epi
 from star_oracle import evaluation_map, star_module
 
 ALL = ClassPredicate.all_modules()
@@ -176,6 +177,66 @@ def test_tensor_dimension_product(ctx_dual_chain3):
     u = bqa.random_module(ctx.factor, 3, 5)
     x = tensor(ctx, m, u)
     assert x.total_dim == m.total_dim * u.total_dim
+
+
+def _kron_tensor(ctx, m, u):
+    """m (x) u from the Kronecker definition: I (x) m_a in every branch and
+    u_b (x) I at every base vertex."""
+    p = ctx.p
+    branches = []
+    for i in ctx.factor.quiver.vertices:
+        dims = tuple(u.dim(i) * m.dim(v) for v in ctx.base.quiver.vertices)
+        mats = {a.name: FpMatrix.identity(p, u.dim(i)).kron(m.mats[a.name]) for a in ctx.base.quiver.arrows}
+        branches.append(bqa.Module(ctx.base, dims, mats))
+    maps = {
+        b.name: bqa.Hom(
+            branches[b.source - 1],
+            branches[b.target - 1],
+            tuple(u.mats[b.name].kron(FpMatrix.identity(p, m.dim(v))) for v in ctx.base.quiver.vertices),
+        )
+        for b in ctx.factor.quiver.arrows
+    }
+    return LayeredModule(ctx, tuple(branches), maps)
+
+
+def _tensor_contexts(p, wide_factors):
+    yield from (harness.standard_context(b, f, p=p) for b, f in (("kx2", "chain3"), ("chain3", "a2")))
+    base = harness.algebra_loop_nilpotent(2, p=p)
+    yield from (layered.TensorContext(base, build(p)) for build in wide_factors.values())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tensor_matches_the_kronecker_definition(p, wide_factors):
+    rng = np.random.default_rng(30 + p)
+    empty = 0
+    for ctx in _tensor_contexts(p, wide_factors):
+        ms = [harness.sample_base_module(ctx, rng, 3) for _ in range(5)] + [ctx.base.zero_module()]
+        us = [harness.sample_factor_module(ctx, rng, 3) for _ in range(5)] + [ctx.factor.zero_module()]
+        us += [ctx.factor.simple(i) for i in ctx.factor.quiver.vertices]
+        for m in ms:
+            for u in us:
+                got, want = tensor(ctx, m, u), _kron_tensor(ctx, m, u)
+                assert got == want
+                for mat in got.mats.values():
+                    assert mat.p == p and mat.data.dtype == np.int64
+                empty += got.is_zero()
+    assert empty > 0
+
+
+def test_tensor_does_not_call_np_kron(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("np.kron called while building a tensor module")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    rng = np.random.default_rng(11)
+    for base, factor in (("kx2", "chain3"), ("chain3", "a2")):
+        ctx = harness.standard_context(base, factor)
+        for m in [harness.sample_base_module(ctx, rng, 3) for _ in range(4)] + [ctx.base.regular_module()]:
+            for i in ctx.factor.quiver.vertices:
+                assert tensor(ctx, m, ctx.factor.projective(i)).total_dim == m.total_dim * ctx.factor.projective(i).total_dim
+                assert tensor(ctx, m, ctx.factor.simple(i)).branch(i) == m
+            assert tensor(ctx, m, ctx.factor.regular_module()).violations() == []
+        assert random_layered(ctx, 3, 5).violations() == []
 
 
 # -- separated monic / epic ------------------------------------------------------------
@@ -827,7 +888,7 @@ def _reference_chain_map(phi, res_src, res_tgt, length):
         if sf is None or sf.is_zero or tf is None or tf.is_zero or (i and maps[-1] is None):
             maps.append(None)
         elif i == 0:
-            maps.append(bqa.lift_through_epi(res_tgt.augmentation, phi @ res_src.augmentation))
+            maps.append(lift_through_epi(res_tgt.augmentation, phi @ res_src.augmentation))
         else:
             rhs = maps[-1] @ res_src.diff(i - 1)
             d = res_tgt.diff(i - 1)
@@ -835,7 +896,7 @@ def _reference_chain_map(phi, res_src, res_tgt, length):
             alg, verts = d.source.algebra, d.source.algebra.quiver.vertices
             core = bqa.Hom(d.source, img, tuple(FpMatrix(alg.p, solve_many(incl.mat(v), d.mat(v).data)) for v in verts))
             u = bqa.Hom(rhs.source, img, tuple(FpMatrix(alg.p, solve_many(incl.mat(v), rhs.mat(v).data)) for v in verts))
-            maps.append(bqa.lift_through_epi(core, u))
+            maps.append(lift_through_epi(core, u))
     return maps
 
 
@@ -891,6 +952,30 @@ def test_phi_conditions_match_reference(p):
     # both answers of phi*, and Ext(phi, -) bijective, failing in degree 1 and in degree 2
     assert {epi for epi, _ in seen} == {True, False}
     assert {fail for _, fail in seen} == {None, 1, 2}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_phi_condition_lifts_compose_back(p, monkeypatch):
+    made = []
+    lift = bqa.FormalProjective.lift
+
+    def recording(formal, epi, g):
+        u = lift(formal, epi, g)
+        made.append((epi, g, u))
+        return u
+
+    monkeypatch.setattr(bqa.FormalProjective, "lift", recording)
+    for ctx, xs in _sampled_contexts(p):
+        n = max(ctx.factor.quiver.source_vertices())
+        for x in xs:
+            triple_conditions(split_at_source(x, n), 4)
+    for t in _simple_pair_triples(p):
+        triple_conditions(t, 4)
+    assert len(made) > 10
+    for epi, g, u in made:
+        assert u.source is g.source and u.target is epi.source
+        assert u.is_natural()
+        assert epi @ u == g
 
 
 @pytest.mark.parametrize("v, fails_at", [(2, 1), (3, 2)])
