@@ -236,11 +236,6 @@ class Algebra(Presentation):
             return None
         return Path(path.source, arrow.target, seq)
 
-    def prepend(self, arrow: Arrow, path: Path) -> Path | None:
-        """The basis word of ``arrow`` followed by ``path``; None when it is zero."""
-        composite = Path(arrow.source, path.target, (arrow.name,) + path.arrows)
-        return None if self.ideal.contains(composite) else composite
-
     def reversal(self, path: Path) -> Path:
         return Path(path.target, path.source, tuple(reversed(path.arrows)))
 

@@ -171,8 +171,15 @@ def test_cli_smon_sepi_tensor_split(workdir, chain3, ground_field):
     assert proc.returncode == 0 and proc.stdout.strip() == "PASS"
     proc = run_cli(["smon", "s2.rep", "--pred", "ALL"], tmp)
     assert proc.returncode == 1 and proc.stdout.startswith("FAIL(m2")
+    # sepi checks D(s2) for separated monicity, so the details describe D(s2)
     proc = run_cli(["sepi", "s2.rep", "--pred", "ALL"], tmp)
     assert proc.returncode == 1
+    assert proc.stdout.strip() == "FAIL(e2 at arrow a, base vertex 1: kernel dim 1 vs killed-path image dim 0)"
+    # the dual of a separated monic module, written over the opposite context
+    (tmp / "dp3.rep").write_text(formats.serialize_layered(bqa.dual_module(x), "k.alg"))
+    for pred in ("ALL", "PROJ"):
+        proc = run_cli(["sepi", "dp3.rep", "--pred", pred], tmp)
+        assert proc.returncode == 0 and proc.stdout.strip() == "PASS"
     # coker prints a module file
     proc = run_cli(["coker", "--vertex", "3", "p3.rep"], tmp)
     assert proc.returncode == 0 and proc.stdout.startswith(formats.MODULE_HEADER)

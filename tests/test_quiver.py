@@ -49,8 +49,8 @@ def test_nonzero_paths_arrowless():
     assert len(nonzero_paths(q, ideal)) == 4
 
 
-# The paths an arrow kills, as separated monicity (m2) and epicity (e2)
-# read them off the factor algebra's own basis.
+# The paths an arrow kills, as separated monicity (m2) reads them off the
+# factor algebra's basis and separated epicity (e2) off the opposite's.
 
 
 def _killed_by_following(alg, a):
@@ -59,8 +59,11 @@ def _killed_by_following(alg, a):
 
 
 def _killed_by_preceding(alg, a):
-    """Nonzero paths q of length >= 1 out of e(a) with q*a zero."""
-    return [q for q in alg.paths if q.length and q.source == a.target and alg.prepend(a, q) is None]
+    """Nonzero paths q of length >= 1 out of e(a) with q*a zero: the
+    reversals of the paths that a kills by following over the opposite
+    algebra, which is how separated epicity reads them through the dual."""
+    opp = alg.opposite()
+    return sorted(opp.reversal(q) for q in _killed_by_following(opp, opp.quiver.arrow(a.name)))
 
 
 def test_annihilated_by(chain, loop):
