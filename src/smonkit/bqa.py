@@ -56,6 +56,7 @@ __all__ = [
     "hom_space",
     "kernel",
     "cokernel",
+    "pushout",
     "check_module",
     "path_span_module",
     "radical",
@@ -556,6 +557,22 @@ def _block_sum(alg: Presentation, mods: list[Module]) -> Module:
     return alg.module(dims, mats)
 
 
+def pushout(f: Hom, g: Hom) -> CokernelPair:
+    """The pushout of f: K -> X and g: K -> P, the cokernel of (f, -g): K -> X (+) P.
+
+    With g the inclusion of the kernel of a projective cover P -> Y, the
+    cokernel is the extension of Y by X that f represents; the projection
+    restricted to X is the inclusion X -> E.
+    """
+    if f.source != g.source:
+        raise ShapeMismatch("pushout of homs with different sources")
+    alg, p = f.source.algebra, f.source.algebra.p
+    mats = tuple(
+        FpMatrix._of(p, np.concatenate([f.mat(v).data, -g.mat(v).data % p])) for v in alg.quiver.vertices
+    )
+    return cokernel(Hom(f.source, _block_sum(alg, [f.target, g.target]), mats, check=False))
+
+
 # -- radical, top, covers, resolutions ---------------------------------------
 
 
@@ -1016,9 +1033,12 @@ def submodule_generated(m: Module, seeds: list[tuple[int, np.ndarray]]) -> Kerne
     return _submodule_from_subspaces(m, spaces)
 
 
-def random_module(algebra: Algebra, budget: int, seed: int) -> Module:
+def random_module(algebra: Presentation, budget: int, seed: int) -> Module:
     """A random quotient of a random sum of projectives by a submodule
-    generated by random radical elements; deterministic in the seed."""
+    generated by random radical elements; deterministic in the seed.
+
+    Any presentation serves: over a ``TensorContext`` the result is a
+    layered module, its projectives drawn by point."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)

@@ -268,7 +268,9 @@ def sample_factor_module(ctx: TensorContext, rng: np.random.Generator, budget: i
 
 
 def _planted_positive(ctx: TensorContext, rng: np.random.Generator, budget: int) -> LayeredModule:
-    """m (x) P(i), or an extension of two such built from a random cocycle."""
+    """x = m (x) P(i), or an extension of y = m2 (x) P(j) by x: the pushout
+    of a random f: K -> x along K -> P_0, where K is the kernel of y's
+    projective cover P_0 -> y.  Falls back to x when Hom(K, x) = 0."""
     m = sample_base_module(ctx, rng, budget)
     i = int(rng.integers(1, ctx.factor.quiver.n + 1))
     x = tensor(ctx, m, ctx.factor.projective(i))
@@ -276,10 +278,12 @@ def _planted_positive(ctx: TensorContext, rng: np.random.Generator, budget: int)
         m2 = sample_base_module(ctx, rng, budget)
         j = int(rng.integers(1, ctx.factor.quiver.n + 1))
         y = tensor(ctx, m2, ctx.factor.projective(j))
-        space = layered.extension_space(x, y)
-        if space.dim:
-            coeffs = rng.integers(0, ctx.p, size=space.dim)
-            return layered.extension_module(x, y, (coeffs @ space.basis.data) % ctx.p)
+        k = bqa.kernel(bqa.projective_cover(y).epi)
+        homs = bqa.hom_space(k.module, x)
+        if homs.dim:
+            coeffs = rng.integers(0, ctx.p, size=homs.dim)
+            f = homs.from_vector((coeffs @ homs.space.basis.data) % ctx.p)
+            return bqa.pushout(f, k.inclusion).module
     return x
 
 
@@ -311,7 +315,7 @@ def sample_layered_mixed(
         x = _planted_negative(ctx, rng, budget)
         if x is not None:
             return x, "planted-negative"
-    return layered.random_layered(ctx, budget, _sub_seed(rng)), "random-quotient"
+    return bqa.random_module(ctx, budget, _sub_seed(rng)), "random-quotient"
 
 
 def _witness_layered(x: LayeredModule) -> str:

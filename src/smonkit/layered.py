@@ -8,19 +8,18 @@ homological engine in ``bqa`` (its relations are not monomial, but the
 engine never reads relations), so covers, resolutions, Ext, the transpose and
 the certificates of layered modules are the engine's own; the branches
 and arrow maps are views of the engine's points and arrows.  A factor
-path acting at a base vertex is an engine word (``at_vertex``), a hom of
-layered modules is an engine hom read at points, and the cocycle system of
-extensions is the engine's Hom system per arrow plus the factor relations.
+path acting at a base vertex is an engine word (``at_vertex``), and a hom
+of layered modules is an engine hom read at points.
 
 This module adds what only the layered reading has: branch cokernels,
 tensor constructions, separated monic membership with pluggable
 coefficient classes (epic membership is monic membership of the dual
 over the opposite context), source-vertex triangular splitting with the
-semi-Gorenstein-projective triple conditions, the Ext adjunction
-identities, extensions, and random layered modules.  Each
-adjunction identity is checked in every degree at once: one Ext sweep
-through the top degree for each of its two sides.  Both triple conditions
-on the connecting map phi are read off one chain map over phi.
+semi-Gorenstein-projective triple conditions, and the Ext adjunction
+identities.  Each adjunction identity is checked in every degree at once:
+one Ext sweep through the top degree for each of its two sides.  Both
+triple conditions on the connecting map phi are read off one chain map
+over phi.
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ __all__ = [
     "split_at_source",
     "assemble",
     "triple_conditions",
-    "extension_space",
-    "extension_module",
-    "random_layered",
 ]
 
 
@@ -694,100 +690,3 @@ def triple_conditions(t: Triple, bound: int) -> TripleReport:
     predicted = phi_epi and ext_fail is None and y_perp.certified
     direct = bqa.semi_gp_cert(assemble(t), bound)
     return TripleReport(phi_epi, ext_fail, y_perp, predicted, direct, bound)
-
-
-# -- extensions and random layered modules ---------------------------------------
-
-
-def extension_space(sub: LayeredModule, quo: LayeredModule) -> Subspace:
-    """Cocycles for extensions of ``quo`` by ``sub``.
-
-    A cocycle lists each c_a, a base-module hom quo_{s(a)} -> sub_{e(a)},
-    in the engine's blocked Hom layout, arrow by arrow; every member
-    produces arrow maps [[sub_a, c_a], [0, quo_a]] satisfying all ideal
-    relations.
-    """
-    ctx = sub.context
-    p = ctx.p
-    arrows = ctx.factor.quiver.arrows
-    verts = ctx.base.quiver.vertices
-    sizes = [sub.branch(a.target).dim(v) * quo.branch(a.source).dim(v) for a in arrows for v in verts]
-    offs = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
-    total = int(offs[-1])
-    first = {a.name: k * len(verts) for k, a in enumerate(arrows)}
-
-    def col(name: str, v: int) -> int:
-        return int(offs[first[name] + v - 1])
-
-    blocks = []
-    # each c_a must be a base-module hom
-    for a in arrows:
-        nat = bqa._naturality_rows(quo.branch(a.source), sub.branch(a.target))
-        block = np.zeros((nat.shape[0], total), dtype=np.int64)
-        block[:, col(a.name, 1) : col(a.name, 1) + nat.shape[1]] = nat
-        blocks.append(block)
-    # the twisted action must keep killing the ideal generators
-    for g in ctx.factor.ideal.generators:
-        word = g.arrows
-        for v in verts:
-            rows = sub.branch(g.target).dim(v) * quo.branch(g.source).dim(v)
-            block = np.zeros((rows, total), dtype=np.int64)
-            for t, name in enumerate(word):
-                a = ctx.factor.quiver.arrow(name)
-                prefix = quo.factor_action(Path(g.source, a.source, word[:t]), v).data
-                suffix = sub.factor_action(Path(a.target, g.target, word[t + 1 :]), v).data
-                term = np.kron(suffix, prefix.T)
-                block[:, col(name, v) : col(name, v) + term.shape[1]] += term
-            blocks.append(block)
-    rows = np.concatenate(blocks, axis=0) % p if blocks else np.zeros((0, total), dtype=np.int64)
-    return null_space(FpMatrix(p, rows))
-
-
-def extension_module(sub: LayeredModule, quo: LayeredModule, cocycle: np.ndarray) -> LayeredModule:
-    """The extension with arrow maps [[sub_a, c_a], [0, quo_a]] from a cocycle vector."""
-    ctx = sub.context
-    branches = tuple(
-        bqa._block_sum(ctx.base, [sub.branch(i), quo.branch(i)]) for i in ctx.factor.quiver.vertices
-    )
-    off = 0
-    maps = {}
-    for a in ctx.factor.quiver.arrows:
-        mats = []
-        for v in ctx.base.quiver.vertices:
-            top_left = sub.arrow_maps[a.name].mat(v).data
-            bottom_right = quo.arrow_maps[a.name].mat(v).data
-            r, c = top_left.shape[0], bottom_right.shape[1]
-            twist = cocycle[off : off + r * c].reshape(r, c)
-            off += r * c
-            zero = np.zeros((bottom_right.shape[0], top_left.shape[1]), dtype=np.int64)
-            mats.append(FpMatrix(ctx.p, np.block([[top_left, twist], [zero, bottom_right]])))
-        maps[a.name] = Hom(branches[a.source - 1], branches[a.target - 1], tuple(mats), check=False)
-    return LayeredModule(ctx, branches, maps)
-
-
-def random_layered(ctx: TensorContext, budget: int, seed: int) -> LayeredModule:
-    """A random quotient of a random sum of tensor generators by a
-    subrepresentation generated by random radical vectors."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    count = 1 + int(rng.integers(0, budget))
-    pairs = sorted(
-        (int(rng.integers(1, ctx.base.quiver.n + 1)), int(rng.integers(1, ctx.factor.quiver.n + 1)))
-        for _ in range(count)
-    )
-    formal = ctx.formal_projective(ctx.point(i, v) for v, i in pairs)
-    proj, rads = formal.module, formal.radical
-    seeds: list[tuple[int, np.ndarray]] = []
-    for _ in range(int(rng.integers(0, budget))):
-        i = int(rng.integers(1, ctx.factor.quiver.n + 1))
-        v = int(rng.integers(1, ctx.base.quiver.n + 1))
-        rad = rads[ctx.point(i, v) - 1]
-        if rad.dim == 0:
-            continue
-        coeffs = rng.integers(0, ctx.p, size=rad.dim)
-        seeds.append((ctx.point(i, v), (coeffs @ rad.basis.data) % ctx.p))
-    if not seeds:
-        return proj
-    sub = bqa.submodule_generated(proj, seeds)
-    return bqa.cokernel(sub.inclusion).module

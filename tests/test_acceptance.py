@@ -139,16 +139,12 @@ def test_criterion_5_smon_perp(contexts):
         fixtures_ok &= layered.check_separated_monic(pos, ALL).passed and perp(pos)
     neg = tensor(ctx, ctx.base.simple(1), ctx.factor.simple(2))
     fixtures_ok &= (not layered.check_separated_monic(neg, ALL).passed) and (not perp(neg))
-    space = layered.extension_space(
-        tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3)),
-        tensor(ctx, ctx.base.projective(1), ctx.factor.projective(2)),
-    )
-    coeffs = np.ones(space.dim, dtype=np.int64)
-    ext = layered.extension_module(
-        tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3)),
-        tensor(ctx, ctx.base.projective(1), ctx.factor.projective(2)),
-        (coeffs @ space.basis.data) % ctx.p,
-    )
+    # the extension of S(1) (x) P(2) by S(1) (x) P(3) pushed out along the
+    # generator of Hom(K, S(1) (x) P(3)), K the kernel of the cover
+    y = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(2))
+    k = bqa.kernel(bqa.projective_cover(y).epi)
+    (f,) = bqa.hom_space(k.module, tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3))).homs()
+    ext = bqa.pushout(f, k.inclusion).module
     fixtures_ok &= layered.check_separated_monic(ext, ALL).passed and perp(ext)
     elapsed = time.monotonic() - start
     total = sum(len(r.records) for r in reports)
@@ -220,7 +216,7 @@ def test_criterion_8_triangular_split(contexts):
     round_trips = 0
     for ctx, n in ((contexts[1], 2), (contexts[0], 3)):
         for seed in range(50):
-            x = layered.random_layered(ctx, 3, 9000 + seed)
+            x = bqa.random_module(ctx, 3, 9000 + seed)
             back = layered.assemble(layered.split_at_source(x, n))
             assert formats.serialize_layered(back, "a") == formats.serialize_layered(x, "a")
             round_trips += 1

@@ -366,7 +366,7 @@ def test_folded_ext_matches_unfolded_reference(ctx_dual_chain3):
         harness.nakayama_17_18_18(),
     ]
     modules = [random_module(alg, 3, seed) for alg in algebras for seed in range(6)]
-    modules += [layered.random_layered(ctx_dual_chain3, 3, seed) for seed in range(6)]
+    modules += [random_module(ctx_dual_chain3, 3, seed) for seed in range(6)]
     looped = 0
     for m in modules:
         reg = m.algebra.regular_module()
@@ -764,7 +764,7 @@ def _sample_modules(p):
     yield [skew, kx2.projective(1), random_module(kx2, 3, 5)]
     for base, factor in (("kx2", "chain3"), ("chain3", "a2")):
         ctx = harness.standard_context(base, factor, p=p)
-        yield [layered.random_layered(ctx, 3, seed) for seed in range(3)] + [ctx.projective(1)]
+        yield [random_module(ctx, 3, seed) for seed in range(3)] + [ctx.projective(1)]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -845,7 +845,7 @@ def _cover_presentations(p):
     yield chain, [random_module(chain, 3, seed) for seed in range(4)] + [chain.simple(2), chain.zero_module()]
     for base, factor in (("kx2", "chain3"), ("chain3", "a2")):
         ctx = harness.standard_context(base, factor, p=p)
-        yield ctx, [layered.random_layered(ctx, 3, seed) for seed in range(4)] + [ctx.simple(1)]
+        yield ctx, [random_module(ctx, 3, seed) for seed in range(4)] + [ctx.simple(1)]
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -67,7 +67,7 @@ def test_module_roundtrip(chain3):
 
 def test_layered_roundtrip(ctx_dual_chain3):
     for seed in range(4):
-        x = layered.random_layered(ctx_dual_chain3, 3, seed)
+        x = bqa.random_module(ctx_dual_chain3, 3, seed)
         text = formats.serialize_layered(x, "kx2.alg")
         back, ref, bad = formats.parse_layered(text, ctx_dual_chain3.base)
         assert bad == []

@@ -22,11 +22,8 @@ from smonkit.layered import (
     branch_cokernel,
     check_separated_epic,
     check_separated_monic,
-    extension_module,
-    extension_space,
     layered_ext_dims,
     layered_hom_dim,
-    random_layered,
     split_at_source,
     tensor,
     triple_conditions,
@@ -230,7 +227,7 @@ def test_tensor_does_not_call_np_kron(monkeypatch):
                 assert tensor(ctx, m, ctx.factor.projective(i)).total_dim == m.total_dim * ctx.factor.projective(i).total_dim
                 assert tensor(ctx, m, ctx.factor.simple(i)).branch(i) == m
             assert tensor(ctx, m, ctx.factor.regular_module()).violations() == []
-        assert random_layered(ctx, 3, 5).violations() == []
+        assert bqa.random_module(ctx, 3, 5).violations() == []
 
 
 # -- separated monic / epic ------------------------------------------------------------
@@ -314,15 +311,15 @@ def test_layered_ext_of_projective_vanishes(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     x = tensor(ctx, ctx.base.projective(1), ctx.factor.projective(2))
     for seed in range(3):
-        y = random_layered(ctx, 3, seed)
+        y = bqa.random_module(ctx, 3, seed)
         assert layered_ext_dims(x, y, 3)[1:] == [0, 0, 0]
 
 
 def test_layered_hom_dim_matches_ext_zero(ctx_k_chain3):
     ctx = ctx_k_chain3
     for sa, sb in ((0, 1), (2, 3)):
-        x = random_layered(ctx, 3, sa)
-        y = random_layered(ctx, 3, sb)
+        x = bqa.random_module(ctx, 3, sa)
+        y = bqa.random_module(ctx, 3, sb)
         assert layered_ext_dims(x, y, 0)[0] == layered_hom_dim(x, y)
 
 
@@ -353,7 +350,7 @@ def test_layered_resolution_minimality(ctx_dual_chain3):
     from smonkit.exactla import column_space
 
     ctx = ctx_dual_chain3
-    x = random_layered(ctx, 3, 11)
+    x = bqa.random_module(ctx, 3, 11)
     res = bqa.resolve(x, 3)
     for d in map(res.diff, range(len(res.diffs))):
         rads = bqa.radical_subspaces(d.target)
@@ -430,7 +427,7 @@ def test_adjunction_check_matches_per_degree_reference():
 
 def test_dual_layered_involutive_dims(ctx_dual_chain3):
     ctx = ctx_dual_chain3
-    x = random_layered(ctx, 3, 21)
+    x = bqa.random_module(ctx, 3, 21)
     assert bqa.dual_module(bqa.dual_module(x)).dims == x.dims
     assert bqa.dual_module(ctx.zero_module()).is_zero()
 
@@ -462,7 +459,7 @@ def test_layered_gp_certificates(ctx_dual_chain3):
 def test_layered_gp_agrees_with_split_criterion(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     for seed in range(6):
-        x = random_layered(ctx, 3, 100 + seed)
+        x = bqa.random_module(ctx, 3, 100 + seed)
         direct = bqa.gp_cert(x, 6).certified
         split = check_separated_monic(x, ALL).passed and all(
             bqa.gp_cert(branch_cokernel(x, i).module, 6).certified
@@ -497,19 +494,19 @@ def test_split_of_tensor_simple(ctx_chain3_a2):
 def test_split_roundtrip_random(ctx_chain3_a2, ctx_dual_chain3):
     for ctx, n in ((ctx_chain3_a2, 2), (ctx_dual_chain3, 3)):
         for seed in range(8):
-            x = random_layered(ctx, 3, 300 + seed)
+            x = bqa.random_module(ctx, 3, 300 + seed)
             assert assemble(split_at_source(x, n)) == x
 
 
 def test_split_reuses_the_reduced_context():
     ctx = harness.standard_context("chain3", "a2")
-    t1 = split_at_source(random_layered(ctx, 3, 1), 2)
-    t2 = split_at_source(random_layered(ctx, 3, 2), 2)
+    t1 = split_at_source(bqa.random_module(ctx, 3, 1), 2)
+    t2 = split_at_source(bqa.random_module(ctx, 3, 2), 2)
     assert t1.reduced is t2.reduced
 
 
 def test_split_rejects_non_source(ctx_chain3_a2):
-    x = random_layered(ctx_chain3_a2, 2, 0)
+    x = bqa.random_module(ctx_chain3_a2, 2, 0)
     with pytest.raises(NotSource):
         split_at_source(x, 1)
 
@@ -537,15 +534,32 @@ def test_triple_conditions_planted(ctx_chain3_a2):
 # -- extensions -----------------------------------------------------------------------------------
 
 
+def _pushout_extension(x, y, rng):
+    """The extension 0 -> x -> E -> y -> 0 pushed out from the kernel K of
+    y's projective cover P_0 -> y along a random f in Hom(K, x), with its
+    two maps, whose naturality is checked here; None when Hom(K, x) = 0."""
+    p, verts = x.algebra.p, x.algebra.quiver.vertices
+    cover = bqa.projective_cover(y)
+    k = bqa.kernel(cover.epi)
+    homs = bqa.hom_space(k.module, x)
+    if not homs.dim:
+        return None
+    f = homs.from_vector((rng.integers(0, p, size=homs.dim) @ homs.space.basis.data) % p)
+    e = bqa.pushout(f, k.inclusion)
+    incl = bqa.Hom(x, e.module, tuple(FpMatrix(p, e.projection.mat(v).data[:, : x.dim(v)]) for v in verts))
+    # E -> y is (0, epi): x (+) P_0 -> y, which kills the image of K, read through the sections
+    onto = [FpMatrix.hstack(p, y.dim(v), [FpMatrix.zeros(p, y.dim(v), x.dim(v)), cover.epi.mat(v)]) for v in verts]
+    proj = bqa.Hom(e.module, y, tuple(o @ sec for o, sec in zip(onto, e.sections)))
+    return e.module, incl, proj
+
+
 def test_extension_closure_of_smon(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     rng = np.random.default_rng(17)
     x = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3))
-    y = tensor(ctx, ctx.base.projective(1), ctx.factor.projective(2))
-    space = extension_space(x, y)
+    y = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(2))
     for _ in range(4):
-        coeffs = rng.integers(0, ctx.p, size=space.dim)
-        e = extension_module(x, y, (coeffs @ space.basis.data) % ctx.p)
+        e, _, _ = _pushout_extension(x, y, rng)
         assert e.violations() == []
         assert check_separated_monic(e, ALL).passed
         # the exactness bookkeeping: branch cokernels form exact sequences,
@@ -558,11 +572,34 @@ def test_extension_closure_of_smon(ctx_dual_chain3):
             )
 
 
+@pytest.mark.parametrize("base, factor", [("kx2", "chain3"), ("chain3", "a2")])
+def test_planted_pushouts_are_smon_and_some_do_not_split(base, factor):
+    """Pairs drawn as the planted positives draw them, x = m (x) P(i) and
+    y = m2 (x) P(j): every pushout extension is separated monic, and some
+    are not x (+) y, which shows as dim End(E) != dim End(x (+) y)."""
+    ctx = harness.standard_context(base, factor)
+    rng = np.random.default_rng(29)
+    n = ctx.factor.quiver.n
+    built = nonsplit = 0
+    # about one pair in thirty gives a non-split pushout over chain3/a2
+    for _ in range(200):
+        x = tensor(ctx, harness.sample_base_module(ctx, rng, 3), ctx.factor.projective(int(rng.integers(1, n + 1))))
+        y = tensor(ctx, harness.sample_base_module(ctx, rng, 3), ctx.factor.projective(int(rng.integers(1, n + 1))))
+        ext = _pushout_extension(x, y, rng)
+        if ext is None:
+            continue
+        e = ext[0]
+        assert e.violations() == [] and check_separated_monic(e, ALL).passed
+        built += 1
+        nonsplit += layered_hom_dim(e, e) != sum(layered_hom_dim(a, b) for a in (x, y) for b in (x, y))
+    assert built and nonsplit
+
+
 def test_random_layered_properties(ctx_dual_chain3):
     ctx = ctx_dual_chain3
-    assert random_layered(ctx, 3, 42) == random_layered(ctx, 3, 42)
+    assert bqa.random_module(ctx, 3, 42) == bqa.random_module(ctx, 3, 42)
     for seed in range(5):
-        assert random_layered(ctx, 3, seed).violations() == []
+        assert bqa.random_module(ctx, 3, seed).violations() == []
 
 
 @settings(max_examples=8, deadline=None)
@@ -571,7 +608,7 @@ def test_smon_iff_perp_sampled(ctx_dual_chain3, seed):
     ctx = ctx_dual_chain3
     da = bqa.dual_module(ctx.base.opposite().regular_module())
     cog = tensor(ctx, da, ctx.factor.regular_module())
-    x = random_layered(ctx, 3, seed)
+    x = bqa.random_module(ctx, 3, seed)
     smon = check_separated_monic(x, ALL).passed
     perp = not any(layered_ext_dims(x, cog, 8)[1:])
     assert smon == perp
@@ -619,7 +656,7 @@ def test_m1_passes_with_independent_images(kronecker_ctx):
 
 def test_layered_star_is_valid(ctx_dual_chain3):
     for seed in (0, 5):
-        x = random_layered(ctx_dual_chain3, 3, seed)
+        x = bqa.random_module(ctx_dual_chain3, 3, seed)
         assert star_module(x).violations() == []
 
 
@@ -633,21 +670,10 @@ def test_layered_transpose_is_valid():
 
 
 def test_extension_is_short_exact(ctx_dual_chain3):
-    from smonkit.bqa import Hom
-
     ctx = ctx_dual_chain3
     subm = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3))
-    quom = tensor(ctx, ctx.base.projective(1), ctx.factor.projective(2))
-    space = extension_space(subm, quom)
-    co = (np.ones(space.dim, dtype=np.int64) @ space.basis.data) % ctx.p
-    e = extension_module(subm, quom, co)
-    incl_parts, proj_parts = [], []
-    for i in ctx.factor.quiver.vertices:
-        _, incls, projs = _direct_sum([subm.branch(i), quom.branch(i)])
-        incl_parts.append(Hom(subm.branch(i), e.branch(i), incls[0].mats, check=False))
-        proj_parts.append(Hom(e.branch(i), quom.branch(i), projs[1].mats, check=False))
-    incl = _layered_hom(subm, e, incl_parts)  # naturality re-verified here
-    proj = _layered_hom(e, quom, proj_parts)
+    quom = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(2))
+    e, incl, proj = _pushout_extension(subm, quom, np.random.default_rng(3))
     assert incl.is_injective() and proj.is_surjective()
     assert (proj @ incl).is_zero()
     assert bqa.kernel(proj).module.total_dim == subm.total_dim
@@ -657,7 +683,7 @@ def test_hom_from_layered_regular_is_underlying_space(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     reg = ctx.regular_module()
     for seed in range(3):
-        x = random_layered(ctx, 3, seed)
+        x = bqa.random_module(ctx, 3, seed)
         assert layered_hom_dim(reg, x) == x.total_dim
     assert evaluation_map(reg).is_bijective()
     assert star_module(reg).total_dim == reg.total_dim
@@ -687,31 +713,6 @@ def _summed_incoming(x, i):
     return out
 
 
-def _summed_extension(sub, quo, cocycle):
-    """The extension with arrow maps i0 sub_a p0 + i0 c_a p1 + i1 quo_a p1,
-    the cocycle read arrow by arrow, base vertex by base vertex."""
-    ctx = sub.context
-    sums = [_direct_sum([sub.branch(i), quo.branch(i)]) for i in ctx.factor.quiver.vertices]
-    off = 0
-    maps = {}
-    for a in ctx.factor.quiver.arrows:
-        (src, _, projs), (tgt, incls, _) = sums[a.source - 1], sums[a.target - 1]
-        mats = []
-        for v in ctx.base.quiver.vertices:
-            r, c = sub.branch(a.target).dim(v), quo.branch(a.source).dim(v)
-            twist = FpMatrix(ctx.p, cocycle[off : off + r * c].reshape(r, c))
-            off += r * c
-            i0, i1 = (incl.mat(v) for incl in incls)
-            p0, p1 = (proj.mat(v) for proj in projs)
-            mats.append(
-                i0 @ sub.arrow_maps[a.name].mat(v) @ p0
-                + i0 @ twist @ p1
-                + i1 @ quo.arrow_maps[a.name].mat(v) @ p1
-            )
-        maps[a.name] = bqa.Hom(src, tgt, tuple(mats))
-    return LayeredModule(ctx, tuple(s[0] for s in sums), maps)
-
-
 def _summed_m1(x):
     """The first m1 failure read off sums of column spaces, or None."""
     ctx = x.context
@@ -730,20 +731,25 @@ def _summed_m1(x):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_total_maps_and_extensions_match_direct_sums(p, wide_factors):
+def test_total_maps_match_direct_sums(p, wide_factors):
     # only factors with two arrows into a vertex (kron2, branch4) reach m1
     # and total maps of more than one arrow
     rng = np.random.default_rng(70 + p)
     base = harness.algebra_loop_nilpotent(2, p=p)
-    m1_seen, extensions = set(), 0
-    for build in wide_factors.values():
-        ctx = layered.TensorContext(base, build(p))
+    m1_seen = set()
+    for name, build in wide_factors.items():
+        factor = build(p)
+        ctx = layered.TensorContext(base, factor)
         xs = [harness.sample_layered_mixed(ctx, rng, 3)[0] for _ in range(8)]
         # tensors with random factor modules: these also break m1
         xs += [
             tensor(ctx, harness.sample_base_module(ctx, rng, 3), harness.sample_factor_module(ctx, rng, 3))
             for _ in range(6)
         ]
+        if name == "kron2":
+            # a fixed m1 negative: S(1) (x) U with u = v, so the two incoming images meet
+            one = FpMatrix(p, [[1]])
+            xs.append(tensor(ctx, base.simple(1), factor.module((1, 1), {"u": one, "v": one})))
         for x in xs:
             for i in ctx.factor.quiver.vertices:
                 assert layered._incoming_total_map(x, i) == _summed_incoming(x, i)
@@ -753,13 +759,7 @@ def test_total_maps_and_extensions_match_direct_sums(p, wide_factors):
             else:
                 assert got == want
             m1_seen.add(want is None)
-        for sub, quo in zip(xs, xs[1:]):
-            space = extension_space(sub, quo)
-            if space.dim:
-                cocycle = (rng.integers(0, p, size=space.dim) @ space.basis.data) % p
-                assert extension_module(sub, quo, cocycle) == _summed_extension(sub, quo, cocycle)
-                extensions += 1
-    assert m1_seen == {True, False} and extensions
+    assert m1_seen == {True, False}
 
 
 def _composite(x, start, word, v):
@@ -768,38 +768,6 @@ def _composite(x, start, word, v):
     for name in word:
         mat = (x.arrow_maps[name].mat(v).data @ mat) % x.context.p
     return mat
-
-
-def _kron_extension_rows(sub, quo):
-    """The cocycle system of extension_space built from Kronecker products."""
-    ctx = sub.context
-    slots = [(a, v) for a in ctx.factor.quiver.arrows for v in ctx.base.quiver.vertices]
-    offs = np.cumsum([0] + [sub.branch(a.target).dim(v) * quo.branch(a.source).dim(v) for a, v in slots])
-    at = {(a.name, v): int(offs[k]) for k, (a, v) in enumerate(slots)}
-    total = int(offs[-1])
-    blocks = [np.zeros((0, total), dtype=np.int64)]
-    for a in ctx.factor.quiver.arrows:
-        sm, qm = sub.branch(a.target), quo.branch(a.source)
-        for ba in ctx.base.quiver.arrows:
-            s, e = ba.source, ba.target
-            block = np.zeros((sm.dim(e) * qm.dim(s), total), dtype=np.int64)
-            so, eo = at[a.name, s], at[a.name, e]
-            left = np.kron(sm.mats[ba.name].data, np.eye(qm.dim(s), dtype=np.int64))
-            right = np.kron(np.eye(sm.dim(e), dtype=np.int64), qm.mats[ba.name].data.T)
-            block[:, so : so + left.shape[1]] += left
-            block[:, eo : eo + right.shape[1]] -= right
-            blocks.append(block)
-    for g in ctx.factor.ideal.generators:
-        for v in ctx.base.quiver.vertices:
-            block = np.zeros((sub.branch(g.target).dim(v) * quo.branch(g.source).dim(v), total), dtype=np.int64)
-            for t, name in enumerate(g.arrows):
-                b = ctx.factor.quiver.arrow(name)
-                prefix = _composite(quo, g.source, g.arrows[:t], v)
-                suffix = _composite(sub, b.target, g.arrows[t + 1 :], v)
-                o = at[name, v]
-                block[:, o : o + suffix.shape[1] * prefix.shape[0]] += np.kron(suffix, prefix.T)
-            blocks.append(block)
-    return np.concatenate(blocks, axis=0) % ctx.p
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -812,20 +780,6 @@ def test_factor_action_matches_composed_arrow_maps(p):
                     got = x.factor_action(q, v)
                     assert got.p == p
                     assert np.array_equal(got.data, _composite(x, q.source, q.arrows, v))
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_extension_space_matches_kron_system(p):
-    nonzero = 0
-    for ctx, xs in _sampled_contexts(p):
-        for sub in xs:
-            for quo in xs:
-                space = extension_space(sub, quo)
-                ref = null_space(FpMatrix(p, _kron_extension_rows(sub, quo)))
-                assert space == ref
-                assert np.array_equal(space.basis.data, ref.basis.data)
-                nonzero += space.dim > 0
-    assert nonzero > 0
 
 
 @pytest.mark.parametrize("p", [2, 3])
