@@ -6,9 +6,10 @@ and, for each point x, the basis of its indecomposable projective P(x)
 as arrow words, with the arrow action on those words and their reversal
 in the opposite algebra.  ``Algebra`` presents a monomial bound quiver
 algebra kQ/I by its nonzero paths; ``layered.TensorContext`` presents a
-tensor algebra A (x) kQ/I by pairs of paths.  The relations are never
-read: kernels, cokernels, Hom spaces, radicals and submodule closure do
-not depend on them, and projectives are built from the basis words.
+tensor algebra A (x) kQ/I by pairs of paths.  The relations are read
+only by ``check_module``: kernels, cokernels, Hom spaces, radicals and
+submodule closure do not depend on them, and projectives are built from
+the basis words.
 
 A module assigns a vector space over F_p to each point and a matrix to
 each arrow; a hom is a point-indexed family of matrices intertwining the
@@ -91,7 +92,8 @@ class Presentation:
     A subclass supplies ``p`` (passed to ``__init__``), ``quiver``,
     ``word_bases`` (per pair of points (x, y), the basis of e_y P(x) as
     arrow words in a fixed order, asked for once, on first use),
-    ``extend``, ``reversal`` and ``opposite``.  Projectives,
+    ``extend``, ``reversal``, ``opposite`` and ``_violations`` (the
+    relation check that ``check_module`` runs).  Projectives,
     simples, injectives and the regular module are derived here, and
     built once, as are the sums of projectives
     (``formal_projective``).  Tables keep, for as long as the algebra
@@ -240,6 +242,9 @@ class Algebra(Presentation):
     def reversal(self, path: Path) -> Path:
         return Path(path.target, path.source, tuple(reversed(path.arrows)))
 
+    def _violations(self, m: "Module") -> list[str]:
+        return [f"relation {g} violated" for g in self.ideal.generators if not m.path_matrix(g).is_zero()]
+
     def opposite(self) -> "Algebra":
         if self._opposite is None:
             oq, oi = opposite_bound_quiver(self.quiver, self.ideal)
@@ -312,12 +317,9 @@ class Module:
 
 
 def check_module(m: Module) -> list[str]:
-    """Evaluate every ideal generator on the module; list the violated ones."""
-    out = []
-    for g in m.algebra.ideal.generators:
-        if not m.path_matrix(g).is_zero():
-            out.append(str(g))
-    return out
+    """Every relation of its algebra that the module fails, one message each;
+    empty exactly when the data is a module over its algebra."""
+    return m.algebra._violations(m)
 
 
 def path_span_module(algebra: Algebra, by_vertex: dict[int, list[Path]]) -> Module:

@@ -32,21 +32,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}") from exc
-
-
-def _header_of(text: str) -> str:
-    for raw in text.splitlines():
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            return s
-    return ""
-
-
-def load_algebra_file(path: str, prime: int | None = None, acyclic: bool = False) -> Algebra:
-    try:
-        return formats.parse_algebra(_read(path), prime_override=prime, acyclic=acyclic)
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def _resolve_ref(path: str, ref: str) -> str:
@@ -55,50 +42,52 @@ def _resolve_ref(path: str, ref: str) -> str:
     return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), ref))
 
 
-def _load_algebra_cached(path: str, args, acyclic: bool = False) -> Algebra:
+def _load_algebra(path: str, args, acyclic: bool = False) -> Algebra:
     """The algebra file at path, loaded once per invocation into ``args.algebras``."""
     key = (os.path.abspath(path), acyclic)
     if key not in args.algebras:
-        args.algebras[key] = load_algebra_file(path, args.prime, acyclic)
+        try:
+            args.algebras[key] = formats.parse_algebra(_read(path), prime_override=args.prime, acyclic=acyclic)
+        except ParseError as exc:
+            raise CliError(f"{path}: {exc}") from exc
     return args.algebras[key]
 
 
-def load_module_file(path: str, args) -> tuple[Module, list[str], str]:
-    """Load a module file; returns (module, violations, resolved algebra path)."""
-    text = _read(path)
-    try:
-        lines = formats._Lines(text)
-        lines.next()  # header
-        ref = " ".join(lines.expect("algebra"))
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    algebra_path = _resolve_ref(path, ref)
-    algebra = _load_algebra_cached(algebra_path, args)
-    try:
-        module, _, bad = formats.parse_module(text, algebra)
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    return module, bad, algebra_path
+# the kind of file each parsed type comes from
+_FILE_KIND = {Algebra: "algebra", Module: "module", LayeredModule: "layered"}
 
 
-def load_layered_file(
-    path: str, args, context: TensorContext | None = None
-) -> tuple[LayeredModule, list[str]]:
-    text = _read(path)
+def load_file(
+    path: str, args, kinds: tuple[str, ...], context: TensorContext | None = None
+) -> tuple[Algebra | Module, list[str], str | None]:
+    """The algebra, module or layered module in the file at path, read once.
+
+    Returns (object, relation violations, the algebra reference the file
+    names).  A file whose kind is not in ``kinds`` is a usage error; a
+    layered file is read inside ``context`` when one is given.
+    """
+
+    def algebra_at(ref: str) -> Algebra:
+        algebra = _load_algebra(_resolve_ref(path, ref), args)
+        if context is not None and algebra is not context.base:
+            raise CliError(f"{path}: base {ref} is not the base algebra of the first layered module")
+        return algebra
+
     try:
-        lines = formats._Lines(text)
-        lines.next()
-        ref = " ".join(lines.expect("base"))
+        obj, ref = formats.parse_file(_read(path), algebra_at, args.prime, context)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    base = _load_algebra_cached(_resolve_ref(path, ref), args)
-    if context is not None and base is not context.base:
-        raise CliError(f"{path}: base {ref} is not the base algebra of the first layered module")
-    try:
-        x, _, bad = formats.parse_layered(text, base, context=context)
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    return x, bad
+    if _FILE_KIND[type(obj)] not in kinds:
+        raise CliError(f"{path}: {_FILE_KIND[type(obj)]} file given where a {' or '.join(kinds)} file is needed")
+    return obj, ([] if isinstance(obj, Algebra) else bqa.check_module(obj)), ref
+
+
+def _load_valid(path: str, args, kinds: tuple[str, ...]) -> Module:
+    """The module or layered module in the file at path; a violated relation fails the command."""
+    m, bad, _ = load_file(path, args, kinds)
+    if bad:
+        raise CliError(f"{path}: " + "; ".join(bad), FAIL)
+    return m
 
 
 def _predicate(args, base: Algebra) -> ClassPredicate:
@@ -110,9 +99,7 @@ def _predicate(args, base: Algebra) -> ClassPredicate:
         if not args.perp:
             raise CliError("--pred PERP_OF needs at least one --perp module file")
         for p in args.perp:
-            m, bad, _ = load_module_file(p, args)
-            if bad:
-                raise CliError(f"{p}: " + "; ".join(bad), FAIL)
+            m = _load_valid(p, args, ("module",))
             if m.algebra is not base:
                 raise CliError(
                     f"{p}: PERP_OF module must live over the layered module's base algebra"
@@ -127,52 +114,25 @@ def _predicate(args, base: Algebra) -> ClassPredicate:
 def cmd_check(args) -> int:
     worst = PASS
     for path in args.paths:
-        header = _header_of(_read(path))
-        if header == formats.ALGEBRA_HEADER:
-            load_algebra_file(path, args.prime)
-            print(f"{path}: ok (algebra)")
-        elif header == formats.MODULE_HEADER:
-            _, bad, _ = load_module_file(path, args)
-            if bad:
-                print(f"{path}: INVALID: " + "; ".join(bad))
-                worst = max(worst, FAIL)
-            else:
-                print(f"{path}: ok (module)")
-        elif header == formats.LAYERED_HEADER:
-            _, bad = load_layered_file(path, args)
-            if bad:
-                print(f"{path}: INVALID: " + "; ".join(bad))
-                worst = max(worst, FAIL)
-            else:
-                print(f"{path}: ok (layered)")
+        obj, bad, _ = load_file(path, args, ("algebra", "module", "layered"))
+        if bad:
+            print(f"{path}: INVALID: " + "; ".join(bad))
+            worst = max(worst, FAIL)
         else:
-            raise CliError(f"{path}: unrecognized header '{header}'")
+            print(f"{path}: ok ({_FILE_KIND[type(obj)]})")
     return worst
 
 
-def _load_valid_layered(path: str, args) -> LayeredModule:
-    x, bad = load_layered_file(path, args)
-    if bad:
-        raise CliError(f"{path}: " + "; ".join(bad), FAIL)
-    return x
-
-
-def cmd_smon(args) -> int:
-    x = _load_valid_layered(args.path, args)
-    res = layered.check_separated_monic(x, _predicate(args, x.context.base))
-    print(res.render())
-    return PASS if res.passed else FAIL
-
-
-def cmd_sepi(args) -> int:
-    x = _load_valid_layered(args.path, args)
-    res = layered.check_separated_epic(x, _predicate(args, x.context.base))
+def cmd_membership(args) -> int:
+    """smon or sepi: ``args.membership`` is the check the command runs."""
+    x = _load_valid(args.path, args, ("layered",))
+    res = args.membership(x, _predicate(args, x.context.base))
     print(res.render())
     return PASS if res.passed else FAIL
 
 
 def cmd_coker(args) -> int:
-    x = _load_valid_layered(args.path, args)
+    x = _load_valid(args.path, args, ("layered",))
     if not 1 <= args.vertex <= x.context.factor.quiver.n:
         raise CliError(f"vertex {args.vertex} outside the factor quiver")
     coker = layered.branch_cokernel(x, args.vertex).module
@@ -181,57 +141,32 @@ def cmd_coker(args) -> int:
 
 
 def cmd_ext(args) -> int:
-    ha = _header_of(_read(args.first))
-    hb = _header_of(_read(args.second))
-    if ha != hb:
+    x, bad1, _ = load_file(args.first, args, ("module", "layered"))
+    context = x.context if isinstance(x, LayeredModule) else None
+    y, bad2, _ = load_file(args.second, args, ("module", "layered"), context=context)
+    if type(x) is not type(y):
         raise CliError("ext needs two module files or two layered files")
-    if ha == formats.MODULE_HEADER:
-        m, bad1, _ = load_module_file(args.first, args)
-        n, bad2, _ = load_module_file(args.second, args)
-        if bad1 or bad2:
-            raise CliError("; ".join(bad1 + bad2), FAIL)
-        if m.algebra is not n.algebra:
-            raise CliError("the two modules resolve to different algebras")
-        print(bqa.ext_dims(m, n, args.k)[args.k])
-        return PASS
-    if ha == formats.LAYERED_HEADER:
-        x, bad1 = load_layered_file(args.first, args)
-        y, bad2 = load_layered_file(args.second, args, context=x.context)
-        if bad1 or bad2:
-            raise CliError("; ".join(bad1 + bad2), FAIL)
-        print(bqa.ext_dims(x, y, args.k)[args.k])
-        return PASS
-    raise CliError(f"unsupported file type '{ha}' for ext")
+    if bad1 or bad2:
+        raise CliError("; ".join(bad1 + bad2), FAIL)
+    if x.algebra is not y.algebra:
+        raise CliError("the two modules resolve to different algebras")
+    print(bqa.ext_dims(x, y, args.k)[args.k])
+    return PASS
 
 
-def _cert_command(args, semi: bool) -> int:
-    header = _header_of(_read(args.path))
-    if header == formats.MODULE_HEADER:
-        m, bad, _ = load_module_file(args.path, args)
-        if bad:
-            raise CliError(f"{args.path}: " + "; ".join(bad), FAIL)
-    elif header == formats.LAYERED_HEADER:
-        m = _load_valid_layered(args.path, args)
-    else:
-        raise CliError(f"{args.path}: unrecognized header '{header}'")
-    cert = bqa.semi_gp_cert(m, args.bound) if semi else bqa.gp_cert(m, args.bound)
+def cmd_cert(args) -> int:
+    """gp or semigp: ``args.cert`` is the certificate the command draws."""
+    m = _load_valid(args.path, args, ("module", "layered"))
+    cert = args.cert(m, args.bound)
     print(cert.render())
     if cert.certified:
         return PASS
     return FAIL if cert.refuted else UNKNOWN
 
 
-def cmd_gp(args) -> int:
-    return _cert_command(args, semi=False)
-
-
-def cmd_semigp(args) -> int:
-    return _cert_command(args, semi=True)
-
-
 def cmd_tensor(args) -> int:
-    m, bad1, base_path = load_module_file(args.base_module, args)
-    u, bad2, _ = load_module_file(args.factor_module, args)
+    m, bad1, ref = load_file(args.base_module, args, ("module",))
+    u, bad2, _ = load_file(args.factor_module, args, ("module",))
     if bad1 or bad2:
         raise CliError("; ".join(bad1 + bad2), FAIL)
     if not u.algebra.quiver.is_acyclic():
@@ -239,8 +174,7 @@ def cmd_tensor(args) -> int:
     ctx = TensorContext(m.algebra, u.algebra)
     x = layered.tensor(ctx, m, u)
     anchor = os.path.dirname(os.path.abspath(args.output)) if args.output else os.getcwd()
-    ref = os.path.relpath(base_path, start=anchor)
-    text = formats.serialize_layered(x, ref)
+    text = formats.serialize_layered(x, os.path.relpath(_resolve_ref(args.base_module, ref), start=anchor))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -250,7 +184,7 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_split(args) -> int:
-    x = _load_valid_layered(args.path, args)
+    x = _load_valid(args.path, args, ("layered",))
     try:
         t = layered.split_at_source(x, args.vertex)
     except layered.NotSource as exc:
@@ -279,7 +213,7 @@ def cmd_suite(args) -> int:
     if args.name == "nakayama":
         if len(args.context) != 1:
             raise CliError("the nakayama suite takes one algebra file")
-        algebra = _load_algebra_cached(args.context[0], args)
+        algebra = _load_algebra(args.context[0], args)
         cfg = harness.SuiteConfig(
             algebra=algebra,
             bound=args.bound,
@@ -291,8 +225,8 @@ def cmd_suite(args) -> int:
     else:
         if len(args.context) != 2:
             raise CliError(f"suite {args.name} takes a base and a factor algebra file")
-        base = _load_algebra_cached(args.context[0], args)
-        factor = _load_algebra_cached(args.context[1], args, acyclic=True)
+        base = _load_algebra(args.context[0], args)
+        factor = _load_algebra(args.context[1], args, acyclic=True)
         ctx = TensorContext(base, factor)
         cfg = harness.SuiteConfig(
             context=ctx,
@@ -323,16 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("paths", nargs="+")
     c.set_defaults(fn=cmd_check)
 
-    for name, fn, doc in (
-        ("smon", cmd_smon, "separated monic membership"),
-        ("sepi", cmd_sepi, "separated epic membership"),
+    for name, membership, doc in (
+        ("smon", layered.check_separated_monic, "separated monic membership"),
+        ("sepi", layered.check_separated_epic, "separated epic membership"),
     ):
         c = sub.add_parser(name, help=doc)
         c.add_argument("path")
         c.add_argument("--pred", default="ALL", help="ALL|PROJ|INJ|GPROJ|SEMI_GP|PERP_OF")
         c.add_argument("--bound", type=int, default=8, help="certificate bound for bounded predicates")
         c.add_argument("--perp", nargs="*", default=[], help="module files for PERP_OF")
-        c.set_defaults(fn=fn)
+        c.set_defaults(fn=cmd_membership, membership=membership)
 
     c = sub.add_parser("coker", help="branch cokernel at a factor vertex")
     c.add_argument("path")
@@ -345,15 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True)
     c.set_defaults(fn=cmd_ext)
 
-    c = sub.add_parser("gp", help="bounded Gorenstein-projective certificate")
-    c.add_argument("path")
-    c.add_argument("--bound", type=int, default=8)
-    c.set_defaults(fn=cmd_gp)
-
-    c = sub.add_parser("semigp", help="bounded semi-Gorenstein-projective certificate")
-    c.add_argument("path")
-    c.add_argument("--bound", type=int, default=8)
-    c.set_defaults(fn=cmd_semigp)
+    for name, cert, doc in (
+        ("gp", bqa.gp_cert, "bounded Gorenstein-projective certificate"),
+        ("semigp", bqa.semi_gp_cert, "bounded semi-Gorenstein-projective certificate"),
+    ):
+        c = sub.add_parser(name, help=doc)
+        c.add_argument("path")
+        c.add_argument("--bound", type=int, default=8)
+        c.set_defaults(fn=cmd_cert, cert=cert)
 
     c = sub.add_parser("tensor", help="tensor a base module with a factor module")
     c.add_argument("base_module")
@@ -407,7 +340,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (
-        ParseError,
         bqa.AlgebraMismatch,
         bqa.ShapeMismatch,
         exactla.PrimeMismatch,

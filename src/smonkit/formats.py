@@ -20,9 +20,12 @@ one ``branch i`` block per factor vertex (a module over the base algebra),
 and one ``hom <arrow>`` block per factor arrow with a matrix per base
 vertex.  Matrix blocks have exactly target-dimension rows, omitted
 entirely when either dimension is zero.
+``parse_file`` reads a file of any kind, named by its header line.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +33,20 @@ from .bqa import Algebra, Hom, Module, check_module
 from .exactla import FpMatrix, validate_prime
 from .layered import LayeredModule, TensorContext
 from .quiver import Arrow, MonomialIdeal, Quiver, make_path
+
+__all__ = [
+    "ALGEBRA_HEADER",
+    "MODULE_HEADER",
+    "LAYERED_HEADER",
+    "ParseError",
+    "parse_file",
+    "parse_algebra",
+    "parse_module",
+    "parse_layered",
+    "serialize_algebra",
+    "serialize_module",
+    "serialize_layered",
+]
 
 ALGEBRA_HEADER = "smonkit-algebra v1"
 MODULE_HEADER = "smonkit-module v1"
@@ -59,15 +76,16 @@ class _Lines:
     def done(self) -> bool:
         return self.pos >= len(self.rows)
 
-    def peek(self) -> tuple[int, str]:
-        if self.done():
-            raise ParseError(self.rows[-1][0] + 1 if self.rows else 1, "unexpected end of file")
-        return self.rows[self.pos]
+    @property
+    def last(self) -> int:
+        """The line number of the line read last."""
+        return self.rows[self.pos - 1][0]
 
     def next(self) -> tuple[int, str]:
-        row = self.peek()
+        if self.done():
+            raise ParseError(self.rows[-1][0] + 1 if self.rows else 1, "unexpected end of file")
         self.pos += 1
-        return row
+        return self.rows[self.pos - 1]
 
     def expect(self, keyword: str) -> list[str]:
         no, line = self.next()
@@ -79,21 +97,9 @@ class _Lines:
     def expect_int(self, keyword: str, what: str) -> tuple[int, int]:
         """The line number and the value of a '<keyword> <int>' line."""
         toks = self.expect(keyword)
-        no = self.rows[self.pos - 1][0]
         if not toks:
-            raise ParseError(no, f"{what} is missing")
-        return no, _int(no, toks[0], what)
-
-    def expect_dims(self, n: int) -> tuple[int, ...]:
-        """The dimension vector of a 'dims' line with n entries, none negative."""
-        toks = self.expect("dims")
-        no = self.rows[self.pos - 1][0]
-        if len(toks) != n:
-            raise ParseError(no, f"expected {n} dimensions")
-        dims = tuple(_int(no, t, "dimension") for t in toks)
-        if min(dims, default=0) < 0:
-            raise ParseError(no, "dimensions must not be negative")
-        return dims
+            raise ParseError(self.last, f"{what} is missing")
+        return self.last, _int(self.last, toks[0], what)
 
 
 def _int(no: int, token: str, what: str) -> int:
@@ -103,68 +109,91 @@ def _int(no: int, token: str, what: str) -> int:
         raise ParseError(no, f"{what}: '{token}' is not an integer") from None
 
 
-def _quiver_line(no: int, parts: list[str], arrows: list[Arrow], relations: list[list[str]]) -> bool:
-    """Read an 'arrow' or 'relation' line into the lists; False for any other keyword."""
-    if parts[0] == "arrow":
-        if len(parts) != 4:
-            raise ParseError(no, "arrow line is 'arrow <name> <source> <target>'")
-        arrows.append(Arrow(parts[1], _int(no, parts[2], "source"), _int(no, parts[3], "target")))
-    elif parts[0] == "relation":
-        if len(parts) < 3:
-            raise ParseError(no, "relation needs at least two arrow names")
-        relations.append(parts[1:])
-    else:
-        return False
-    return True
-
-
-# -- algebra files --------------------------------------------------------------
-
-
-def parse_algebra(text: str, prime_override: int | None = None, acyclic: bool = False) -> Algebra:
-    """Parse an algebra file; ``acyclic`` requests the normalized labeling."""
+def _read(
+    text: str,
+    algebra_at: Callable[[str], Algebra] | None,
+    prime_override: int | None = None,
+    acyclic: bool = False,
+    context: TensorContext | None = None,
+    header: str | None = None,
+) -> tuple[Algebra | Module, str | None]:
+    """The object in a file and the algebra reference it names; a file of
+    any kind unless ``header`` names the one expected."""
     lines = _Lines(text)
-    no, header = lines.next()
-    if header != ALGEBRA_HEADER:
-        raise ParseError(no, f"expected header '{ALGEBRA_HEADER}'")
-    toks = lines.expect("prime")
-    no = lines.rows[lines.pos - 1][0]
-    if len(toks) != 1:
-        raise ParseError(no, "prime line needs one value")
-    p = prime_override if prime_override is not None else _int(no, toks[0], "prime")
-    try:
-        validate_prime(p)
-    except ValueError as exc:
-        raise ParseError(no, str(exc)) from None
-    no, n = lines.expect_int("vertices", "vertex count")
+    no, first = lines.next()
+    if header is not None and first != header:
+        raise ParseError(no, f"expected header '{header}'")
+    ref = None
+    if first == ALGEBRA_HEADER:
+        obj = _read_algebra(lines, prime_override, acyclic)
+    elif first == MODULE_HEADER:
+        ref = " ".join(lines.expect("algebra"))
+        obj = _read_module(lines, algebra_at(ref), " (arrows in declaration order)")
+    elif first == LAYERED_HEADER:
+        ref = " ".join(lines.expect("base"))
+        obj = _read_layered(lines, algebra_at(ref), context)
+    else:
+        raise ParseError(no, f"unrecognized header '{first}'")
+    if not lines.done():
+        no, line = lines.next()
+        raise ParseError(no, f"unexpected trailing content '{line}'")
+    return obj, ref
+
+
+def parse_file(
+    text: str,
+    algebra_at: Callable[[str], Algebra],
+    prime_override: int | None = None,
+    context: TensorContext | None = None,
+) -> tuple[Algebra | Module, str | None]:
+    """The algebra, module or layered module in a file of any kind, and the
+    algebra reference it names (None for an algebra file).
+
+    ``algebra_at`` loads the algebra a module or layered file names, when
+    the file names it; a layered file is read inside ``context`` when one
+    is given.  Relations are not checked: see ``bqa.check_module``.
+    """
+    return _read(text, algebra_at, prime_override, context=context)
+
+
+# -- blocks ----------------------------------------------------------------------
+
+
+def _read_bound_quiver(lines: _Lines, n: int, acyclic: bool, end: str | None, where: str) -> MonomialIdeal:
+    """The 'arrow' and 'relation' lines up to the line ``end`` (the end of
+    the file when None) as an ideal over their quiver of n vertices."""
     arrows: list[Arrow] = []
     relations: list[list[str]] = []
-    while not lines.done():
+    while end is not None or not lines.done():
         no, line = lines.next()
         parts = line.split()
-        if not _quiver_line(no, parts, arrows, relations):
-            raise ParseError(no, f"unexpected '{parts[0]}' in algebra file")
+        if parts[0] == end:
+            break
+        if parts[0] == "arrow":
+            if len(parts) != 4:
+                raise ParseError(no, "arrow line is 'arrow <name> <source> <target>'")
+            arrows.append(Arrow(parts[1], _int(no, parts[2], "source"), _int(no, parts[3], "target")))
+        elif parts[0] == "relation":
+            if len(parts) < 3:
+                raise ParseError(no, "relation needs at least two arrow names")
+            relations.append(parts[1:])
+        else:
+            raise ParseError(no, f"unexpected '{parts[0]}' in {where}")
     try:
         quiver = Quiver(n, arrows, acyclic=acyclic)
-        gens = [make_path(quiver, tuple(reversed(names))) for names in relations]
-        return Algebra(quiver, MonomialIdeal(quiver, gens), p)
+        return MonomialIdeal(quiver, [make_path(quiver, tuple(reversed(names))) for names in relations])
     except (ValueError, KeyError) as exc:  # invalid quiver/ideal data reported as a parse failure
-        raise ParseError(no, str(exc)) from exc
+        raise ParseError(lines.last, str(exc)) from exc
 
 
-def serialize_algebra(algebra: Algebra) -> str:
-    out = [ALGEBRA_HEADER, f"prime {algebra.p}", f"vertices {algebra.quiver.n}"]
-    for a in algebra.quiver.arrows:
-        out.append(f"arrow {a.name} {a.source} {a.target}")
-    for g in algebra.ideal.generators:
-        out.append("relation " + " ".join(reversed(g.arrows)))
-    return "\n".join(out) + "\n"
+def _quiver_lines(algebra: Algebra) -> list[str]:
+    out = [f"vertices {algebra.quiver.n}"]
+    out += [f"arrow {a.name} {a.source} {a.target}" for a in algebra.quiver.arrows]
+    out += ["relation " + " ".join(reversed(g.arrows)) for g in algebra.ideal.generators]
+    return out
 
 
-# -- module files ----------------------------------------------------------------
-
-
-def _parse_matrix_rows(lines: _Lines, rows: int, cols: int, p: int, what: str) -> FpMatrix:
+def _read_matrix(lines: _Lines, rows: int, cols: int, p: int, what: str) -> FpMatrix:
     if rows == 0 or cols == 0:
         return FpMatrix.zeros(p, rows, cols)
     data = np.zeros((rows, cols), dtype=np.int64)
@@ -177,6 +206,69 @@ def _parse_matrix_rows(lines: _Lines, rows: int, cols: int, p: int, what: str) -
     return FpMatrix(p, data)
 
 
+def _matrix_lines(mat: FpMatrix) -> list[str]:
+    if mat.rows == 0 or mat.cols == 0:
+        return []
+    return [" ".join(str(int(e)) for e in row) for row in mat.data]
+
+
+def _read_module(lines: _Lines, algebra: Algebra, order_hint: str = "") -> Module:
+    """A 'dims' line, no entry negative, and one 'matrix' block per arrow, in declaration order."""
+    toks = lines.expect("dims")
+    if len(toks) != algebra.quiver.n:
+        raise ParseError(lines.last, f"expected {algebra.quiver.n} dimensions")
+    dims = tuple(_int(lines.last, t, "dimension") for t in toks)
+    if min(dims, default=0) < 0:
+        raise ParseError(lines.last, "dimensions must not be negative")
+    mats: dict[str, FpMatrix] = {}
+    for a in algebra.quiver.arrows:
+        if lines.expect("matrix") != [a.name]:
+            raise ParseError(lines.last, f"expected 'matrix {a.name}'{order_hint}")
+        mats[a.name] = _read_matrix(lines, dims[a.target - 1], dims[a.source - 1], algebra.p, f"matrix {a.name}")
+    return Module(algebra, dims, mats)
+
+
+def _module_lines(module: Module) -> list[str]:
+    out = ["dims " + " ".join(map(str, module.dims))]
+    for a in module.algebra.quiver.arrows:
+        out.append(f"matrix {a.name}")
+        out.extend(_matrix_lines(module.mats[a.name]))
+    return out
+
+
+# -- algebra files --------------------------------------------------------------
+
+
+def _read_algebra(lines: _Lines, prime_override: int | None, acyclic: bool) -> Algebra:
+    toks = lines.expect("prime")
+    no = lines.last
+    if len(toks) != 1:
+        raise ParseError(no, "prime line needs one value")
+    p = prime_override if prime_override is not None else _int(no, toks[0], "prime")
+    try:
+        validate_prime(p)
+    except ValueError as exc:
+        raise ParseError(no, str(exc)) from None
+    _, n = lines.expect_int("vertices", "vertex count")
+    ideal = _read_bound_quiver(lines, n, acyclic, None, "algebra file")
+    try:
+        return Algebra(ideal.quiver, ideal, p)
+    except ValueError as exc:  # an ideal that is not admissible
+        raise ParseError(lines.last, str(exc)) from exc
+
+
+def parse_algebra(text: str, prime_override: int | None = None, acyclic: bool = False) -> Algebra:
+    """Parse an algebra file; ``acyclic`` requests the normalized labeling."""
+    return _read(text, None, prime_override, acyclic, header=ALGEBRA_HEADER)[0]
+
+
+def serialize_algebra(algebra: Algebra) -> str:
+    return "\n".join([ALGEBRA_HEADER, f"prime {algebra.p}"] + _quiver_lines(algebra)) + "\n"
+
+
+# -- module files ----------------------------------------------------------------
+
+
 def parse_module(text: str, algebra: Algebra) -> tuple[Module, str, list[str]]:
     """Parse a module file against a loaded algebra.
 
@@ -185,44 +277,62 @@ def parse_module(text: str, algebra: Algebra) -> tuple[Module, str, list[str]]:
     component so callers can distinguish malformed files from invalid
     modules.
     """
-    lines = _Lines(text)
-    no, header = lines.next()
-    if header != MODULE_HEADER:
-        raise ParseError(no, f"expected header '{MODULE_HEADER}'")
-    ref = " ".join(lines.expect("algebra"))
-    dims = lines.expect_dims(algebra.quiver.n)
-    mats: dict[str, FpMatrix] = {}
-    for a in algebra.quiver.arrows:
-        toks = lines.expect("matrix")
-        no = lines.rows[lines.pos - 1][0]
-        if toks != [a.name]:
-            raise ParseError(no, f"expected 'matrix {a.name}' (arrows in declaration order)")
-        mats[a.name] = _parse_matrix_rows(
-            lines, dims[a.target - 1], dims[a.source - 1], algebra.p, f"matrix {a.name}"
-        )
-    if not lines.done():
-        no, line = lines.next()
-        raise ParseError(no, f"unexpected trailing content '{line}'")
-    module = Module(algebra, dims, mats)
-    bad = [f"relation {g} violated" for g in check_module(module)]
-    return module, ref, bad
-
-
-def _matrix_lines(mat: FpMatrix) -> list[str]:
-    if mat.rows == 0 or mat.cols == 0:
-        return []
-    return [" ".join(str(int(e)) for e in row) for row in mat.data]
+    module, ref = _read(text, lambda _: algebra, header=MODULE_HEADER)
+    return module, ref, check_module(module)
 
 
 def serialize_module(module: Module, algebra_ref: str) -> str:
-    out = [MODULE_HEADER, f"algebra {algebra_ref}", "dims " + " ".join(map(str, module.dims))]
-    for a in module.algebra.quiver.arrows:
-        out.append(f"matrix {a.name}")
-        out.extend(_matrix_lines(module.mats[a.name]))
-    return "\n".join(out) + "\n"
+    return "\n".join([MODULE_HEADER, f"algebra {algebra_ref}"] + _module_lines(module)) + "\n"
 
 
 # -- layered files ----------------------------------------------------------------
+
+
+def _read_layered(lines: _Lines, base: Algebra, context: TensorContext | None) -> LayeredModule:
+    no, kw = lines.next()
+    if kw != "quiver":
+        raise ParseError(no, "expected 'quiver'")
+    _, qn = lines.expect_int("vertices", "vertex count")
+    ideal = _read_bound_quiver(lines, qn, True, "endquiver", "quiver block")
+    if context is None:
+        try:
+            context = TensorContext(base, Algebra(ideal.quiver, ideal, base.p))
+        except ValueError as exc:  # an ideal that is not admissible
+            raise ParseError(lines.last, str(exc)) from exc
+    elif context.factor.ideal != ideal:
+        raise ParseError(lines.last, "quiver block does not match the supplied context")
+    relabel = ideal.quiver.vertex_relabeling
+    branches: dict[int, Module] = {}
+    for _ in range(qn):
+        no, file_vertex = lines.expect_int("branch", "branch vertex")
+        if file_vertex not in relabel:
+            raise ParseError(no, f"branch vertex {file_vertex} outside 1..{qn}")
+        i = relabel[file_vertex]
+        if i in branches:
+            raise ParseError(no, f"duplicate branch {file_vertex}")
+        branches[i] = _read_module(lines, base)
+    factor = context.factor.quiver
+    arrow_maps: dict[str, Hom] = {}
+    for _ in range(len(factor.arrows)):
+        toks = lines.expect("hom")
+        no = lines.last
+        if len(toks) != 1:
+            raise ParseError(no, "hom block is 'hom <arrow>'")
+        name = toks[0]
+        try:
+            arr = factor.arrow(name)
+        except KeyError:
+            raise ParseError(no, f"unknown factor arrow '{name}'") from None
+        if name in arrow_maps:
+            raise ParseError(no, f"duplicate hom block {name}")
+        src, tgt = branches[arr.source], branches[arr.target]
+        parts = []
+        for v in base.quiver.vertices:
+            if lines.expect("vertex") != [str(v)]:
+                raise ParseError(lines.last, f"expected 'vertex {v}' (base vertices in order)")
+            parts.append(_read_matrix(lines, tgt.dim(v), src.dim(v), base.p, f"hom {name} vertex {v}"))
+        arrow_maps[name] = Hom(src, tgt, tuple(parts), check=False)
+    return LayeredModule(context, tuple(branches[i] for i in factor.vertices), arrow_maps, check=False)
 
 
 def parse_layered(
@@ -237,103 +347,16 @@ def parse_layered(
     When ``context`` is given the quiver block must match its factor and
     the module is built inside that context.
     """
-    lines = _Lines(text)
-    no, header = lines.next()
-    if header != LAYERED_HEADER:
-        raise ParseError(no, f"expected header '{LAYERED_HEADER}'")
-    ref = " ".join(lines.expect("base"))
-    no, kw = lines.next()
-    if kw != "quiver":
-        raise ParseError(no, "expected 'quiver'")
-    no, qn = lines.expect_int("vertices", "vertex count")
-    arrows: list[Arrow] = []
-    relations: list[list[str]] = []
-    while True:
-        no, line = lines.next()
-        parts = line.split()
-        if parts[0] == "endquiver":
-            break
-        if not _quiver_line(no, parts, arrows, relations):
-            raise ParseError(no, f"unexpected '{parts[0]}' in quiver block")
-    try:
-        quiver = Quiver(qn, arrows, acyclic=True)
-        gens = [make_path(quiver, tuple(reversed(names))) for names in relations]
-        if context is not None:
-            if context.factor.quiver != quiver or set(context.factor.ideal.generators) != set(gens):
-                raise ValueError("quiver block does not match the supplied context")
-            ctx = context
-            factor = context.factor
-        else:
-            factor = Algebra(quiver, MonomialIdeal(quiver, gens), base.p)
-            ctx = TensorContext(base, factor)
-    except (ValueError, KeyError) as exc:
-        raise ParseError(no, str(exc)) from exc
-    relabel = quiver.vertex_relabeling
-    branches: dict[int, Module] = {}
-    for _ in range(qn):
-        no, file_vertex = lines.expect_int("branch", "branch vertex")
-        if file_vertex not in relabel:
-            raise ParseError(no, f"branch vertex {file_vertex} outside 1..{qn}")
-        i = relabel[file_vertex]
-        if i in branches:
-            raise ParseError(no, f"duplicate branch {file_vertex}")
-        dims = lines.expect_dims(base.quiver.n)
-        mats: dict[str, FpMatrix] = {}
-        for a in base.quiver.arrows:
-            toks = lines.expect("matrix")
-            no2 = lines.rows[lines.pos - 1][0]
-            if toks != [a.name]:
-                raise ParseError(no2, f"expected 'matrix {a.name}'")
-            mats[a.name] = _parse_matrix_rows(
-                lines, dims[a.target - 1], dims[a.source - 1], base.p, f"matrix {a.name}"
-            )
-        branches[i] = Module(base, dims, mats)
-    arrow_maps: dict[str, Hom] = {}
-    for _ in range(len(arrows)):
-        toks = lines.expect("hom")
-        no = lines.rows[lines.pos - 1][0]
-        if len(toks) != 1:
-            raise ParseError(no, "hom block is 'hom <arrow>'")
-        name = toks[0]
-        try:
-            arr = factor.quiver.arrow(name)
-        except KeyError:
-            raise ParseError(no, f"unknown factor arrow '{name}'") from None
-        if name in arrow_maps:
-            raise ParseError(no, f"duplicate hom block {name}")
-        src, tgt = branches[arr.source], branches[arr.target]
-        parts = []
-        for v in base.quiver.vertices:
-            toks = lines.expect("vertex")
-            no2 = lines.rows[lines.pos - 1][0]
-            if toks != [str(v)]:
-                raise ParseError(no2, f"expected 'vertex {v}' (base vertices in order)")
-            parts.append(
-                _parse_matrix_rows(lines, tgt.dim(v), src.dim(v), base.p, f"hom {name} vertex {v}")
-            )
-        arrow_maps[name] = Hom(src, tgt, tuple(parts), check=False)
-    if not lines.done():
-        no, line = lines.next()
-        raise ParseError(no, f"unexpected trailing content '{line}'")
-    x = LayeredModule(ctx, tuple(branches[i] for i in factor.quiver.vertices), arrow_maps, check=False)
-    return x, ref, x.violations()
+    x, ref = _read(text, lambda _: base, context=context, header=LAYERED_HEADER)
+    return x, ref, check_module(x)
 
 
 def serialize_layered(x: LayeredModule, base_ref: str) -> str:
     ctx = x.context
-    out = [LAYERED_HEADER, f"base {base_ref}", "quiver", f"vertices {ctx.factor.quiver.n}"]
-    for a in ctx.factor.quiver.arrows:
-        out.append(f"arrow {a.name} {a.source} {a.target}")
-    for g in ctx.factor.ideal.generators:
-        out.append("relation " + " ".join(reversed(g.arrows)))
-    out.append("endquiver")
+    out = [LAYERED_HEADER, f"base {base_ref}", "quiver"] + _quiver_lines(ctx.factor) + ["endquiver"]
     for i in ctx.factor.quiver.vertices:
-        b = x.branch(i)
         out.append(f"branch {i}")
-        out.append("dims " + " ".join(map(str, b.dims)))
-        for a in ctx.base.quiver.arrows:
-            out.append(f"matrix {a.name}")
-            out.extend(_matrix_lines(b.mats[a.name]))
+        out.extend(_module_lines(x.branch(i)))
     for a in ctx.factor.quiver.arrows:
         out.append(f"hom {a.name}")
         for v in ctx.base.quiver.vertices:

@@ -4,12 +4,12 @@ A module over the tensor algebra of a base algebra A with a bound acyclic
 quiver (Q, I) is a representation of (Q, I) valued in A-modules: one
 A-module per Q-vertex (a branch) plus one A-hom per Q-arrow killing the
 ideal generators.  ``TensorContext`` presents the tensor algebra to the
-homological engine in ``bqa`` (its relations are not monomial, but the
-engine never reads relations), so covers, resolutions, Ext, the transpose and
-the certificates of layered modules are the engine's own; the branches
-and arrow maps are views of the engine's points and arrows.  A factor
-path acting at a base vertex is an engine word (``at_vertex``), and a hom
-of layered modules is an engine hom read at points.
+homological engine in ``bqa`` (its relations are not monomial; only
+``check_module`` reads them), so covers, resolutions, Ext, the transpose
+and the certificates of layered modules are the engine's own; the
+branches and arrow maps are views of the engine's points and arrows.  A
+factor path acting at a base vertex is an engine word (``at_vertex``),
+and a hom of layered modules is an engine hom read at points.
 
 This module adds what only the layered reading has: branch cokernels,
 tensor constructions, separated monic membership with pluggable
@@ -150,6 +150,19 @@ class TensorContext(bqa.Presentation):
         fp, bp = self._pair_of[path]
         return self.opposite()._word(self.factor.reversal(fp), self.base.reversal(bp))
 
+    def _violations(self, x: "LayeredModule") -> list[str]:
+        """Branch relation failures, non-natural arrow maps, surviving factor generators."""
+        out = []
+        for i in self.factor.quiver.vertices:
+            out += [f"branch {i}: {bad}" for bad in self.base._violations(x.branch(i))]
+        for a in self.factor.quiver.arrows:
+            if not x.arrow_maps[a.name].is_natural():
+                out.append(f"arrow {a.name}: map is not a base-module homomorphism")
+        for g in self.factor.ideal.generators:
+            if not all(x.factor_action(g, v).is_zero() for v in self.base.quiver.vertices):
+                out.append(f"factor relation {g} does not vanish")
+        return out
+
     def module(self, dims: tuple[int, ...], mats: dict) -> "LayeredModule":
         return LayeredModule.from_points(self, dims, mats)
 
@@ -212,7 +225,7 @@ class LayeredModule(Module):
         self._branches = tuple(branches)
         self._arrow_maps = dict(arrow_maps)
         if check:
-            bad = self.violations()
+            bad = bqa.check_module(self)
             if bad:
                 raise ValueError("invalid layered module: " + "; ".join(bad))
 
@@ -265,20 +278,6 @@ class LayeredModule(Module):
     def factor_action(self, q: Path, v: int) -> FpMatrix:
         """The action of factor path q at base vertex v: branch s(q) -> branch e(q)."""
         return self.path_matrix(self.context.at_vertex(q, v))
-
-    def violations(self) -> list[str]:
-        """Branch relation failures, non-natural arrow maps, surviving generators."""
-        out = []
-        for i in self.context.factor.quiver.vertices:
-            for g in bqa.check_module(self.branch(i)):
-                out.append(f"branch {i}: relation {g} violated")
-        for a in self.context.factor.quiver.arrows:
-            if not self.arrow_maps[a.name].is_natural():
-                out.append(f"arrow {a.name}: map is not a base-module homomorphism")
-        for g in self.context.factor.ideal.generators:
-            if not all(self.factor_action(g, v).is_zero() for v in self.context.base.quiver.vertices):
-                out.append(f"factor relation {g} does not vanish")
-        return out
 
     def __repr__(self) -> str:
         return f"LayeredModule(dims={tuple(b.dims for b in self.branches)})"

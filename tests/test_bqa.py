@@ -82,7 +82,7 @@ def test_check_module_flags_violations(dual_numbers):
     ok = Module(dual_numbers, (2,), {"x": FpMatrix(2, [[0, 0], [1, 0]])})
     assert check_module(ok) == []
     bad = Module(dual_numbers, (2,), {"x": FpMatrix(2, [[1, 0], [0, 1]])})
-    assert check_module(bad) == ["x*x"]
+    assert check_module(bad) == ["relation x*x violated"]
 
 
 def test_simples_trivially_satisfy_relations(chain3):

@@ -23,7 +23,15 @@ def test_exported_names_resolve(name):
 
 
 def test_engine_modules_declare_exports():
-    for name in ("smonkit", "smonkit.exactla", "smonkit.quiver", "smonkit.bqa", "smonkit.layered", "smonkit.harness"):
+    for name in (
+        "smonkit",
+        "smonkit.exactla",
+        "smonkit.quiver",
+        "smonkit.bqa",
+        "smonkit.layered",
+        "smonkit.harness",
+        "smonkit.formats",
+    ):
         assert hasattr(importlib.import_module(name), "__all__"), name
 
 
@@ -62,7 +70,7 @@ def test_uncalled_exports_are_listed():
     used = _referenced_names()
     uncalled = {
         f"{name}.{export}"
-        for name in ("exactla", "quiver", "bqa", "layered", "harness")
+        for name in ("exactla", "quiver", "bqa", "layered", "harness", "formats")
         for export in importlib.import_module(f"smonkit.{name}").__all__
         if export not in used
     }

@@ -376,6 +376,16 @@ MALFORMED = [
     ["suite", "ce", "q3.alg", "empty.alg"],
     ["check", "twoloops.alg"],
     ["ext", "x.lay", "xfree.lay", "--k", "1"],
+    ["check", "latin1.mod"],
+    # a file of the wrong kind for the command
+    ["smon", "S3.mod"],
+    ["sepi", "S3.mod"],
+    ["coker", "S3.mod", "--vertex", "1"],
+    ["split", "S3.mod", "--vertex", "1"],
+    ["gp", "q3.alg"],
+    ["tensor", "x.lay", "S3.mod"],
+    ["ext", "S3.mod", "x.lay", "--k", "1"],
+    ["smon", "x.lay", "--pred", "PERP_OF", "--perp", "x.lay"],
 ]
 
 
@@ -410,6 +420,7 @@ def test_cli_malformed_input_is_a_usage_error(workdir, chain3, a2, args):
     )
     (tmp / "x.lay").write_text(lay)
     (tmp / "xfree.lay").write_text(lay.replace("base q3.alg", "base q3free.alg"))
+    (tmp / "latin1.mod").write_bytes(b"smonkit-module v1\n# caf\xe9\nalgebra q3.alg\n")
     (tmp / "negdims.mod").write_text(
         "smonkit-module v1\nalgebra q3.alg\ndims -1 1 1\nmatrix a\n1\nmatrix b\n1\n"
     )

@@ -73,7 +73,7 @@ def _direct_sum(mods):
 def test_tensor_modules_validate(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     x = tensor(ctx, ctx.base.projective(1), ctx.factor.projective(3))
-    assert x.violations() == []
+    assert bqa.check_module(x) == []
 
 
 def test_violations_reported(ctx_k_chain3):
@@ -84,7 +84,7 @@ def test_violations_reported(ctx_k_chain3):
     x = LayeredModule(
         ctx, (one, one, one), {"a": ident, "b": ident}, check=False
     )
-    bad = x.violations()
+    bad = bqa.check_module(x)
     assert any("b*a" in v for v in bad)
     with pytest.raises(ValueError):
         LayeredModule(ctx, (one, one, one), {"a": ident, "b": ident})
@@ -107,7 +107,7 @@ def test_naturality_violation_reported(ctx_dual_chain3):
         },
         check=False,
     )
-    assert any("not a base-module homomorphism" in v for v in x.violations())
+    assert any("not a base-module homomorphism" in v for v in bqa.check_module(x))
 
 
 # -- branch functors ----------------------------------------------------------------
@@ -226,8 +226,8 @@ def test_tensor_does_not_call_np_kron(monkeypatch):
             for i in ctx.factor.quiver.vertices:
                 assert tensor(ctx, m, ctx.factor.projective(i)).total_dim == m.total_dim * ctx.factor.projective(i).total_dim
                 assert tensor(ctx, m, ctx.factor.simple(i)).branch(i) == m
-            assert tensor(ctx, m, ctx.factor.regular_module()).violations() == []
-        assert bqa.random_module(ctx, 3, 5).violations() == []
+            assert bqa.check_module(tensor(ctx, m, ctx.factor.regular_module())) == []
+        assert bqa.check_module(bqa.random_module(ctx, 3, 5)) == []
 
 
 # -- separated monic / epic ------------------------------------------------------------
@@ -560,7 +560,7 @@ def test_extension_closure_of_smon(ctx_dual_chain3):
     y = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(2))
     for _ in range(4):
         e, _, _ = _pushout_extension(x, y, rng)
-        assert e.violations() == []
+        assert bqa.check_module(e) == []
         assert check_separated_monic(e, ALL).passed
         # the exactness bookkeeping: branch cokernels form exact sequences,
         # so dims add up branchwise
@@ -589,7 +589,7 @@ def test_planted_pushouts_are_smon_and_some_do_not_split(base, factor):
         if ext is None:
             continue
         e = ext[0]
-        assert e.violations() == [] and check_separated_monic(e, ALL).passed
+        assert bqa.check_module(e) == [] and check_separated_monic(e, ALL).passed
         built += 1
         nonsplit += layered_hom_dim(e, e) != sum(layered_hom_dim(a, b) for a in (x, y) for b in (x, y))
     assert built and nonsplit
@@ -599,7 +599,7 @@ def test_random_layered_properties(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     assert bqa.random_module(ctx, 3, 42) == bqa.random_module(ctx, 3, 42)
     for seed in range(5):
-        assert bqa.random_module(ctx, 3, seed).violations() == []
+        assert bqa.check_module(bqa.random_module(ctx, 3, seed)) == []
 
 
 @settings(max_examples=8, deadline=None)
@@ -657,7 +657,7 @@ def test_m1_passes_with_independent_images(kronecker_ctx):
 def test_layered_star_is_valid(ctx_dual_chain3):
     for seed in (0, 5):
         x = bqa.random_module(ctx_dual_chain3, 3, seed)
-        assert star_module(x).violations() == []
+        assert bqa.check_module(star_module(x)) == []
 
 
 def test_layered_transpose_is_valid():
@@ -665,7 +665,7 @@ def test_layered_transpose_is_valid():
         ctx = harness.standard_context("kx2", "chain3", p=p)
         rng = np.random.default_rng(11)
         trs = [bqa.transpose(harness.sample_layered_mixed(ctx, rng, 3)[0]) for _ in range(4)]
-        assert all(tr.algebra is ctx.opposite() and tr.violations() == [] for tr in trs)
+        assert all(tr.algebra is ctx.opposite() and bqa.check_module(tr) == [] for tr in trs)
         assert sum(not tr.is_zero() for tr in trs) >= 2
 
 
