@@ -7,18 +7,19 @@ as arrow words, with the arrow action on those words and their reversal
 in the opposite algebra.  ``Algebra`` presents a monomial bound quiver
 algebra kQ/I by its nonzero paths; ``layered.TensorContext`` presents a
 tensor algebra A (x) kQ/I by pairs of paths.  The relations are read
-only by ``check_module``: kernels, cokernels, Hom spaces, radicals and
-submodule closure do not depend on them, and projectives are built from
-the basis words.
+only by ``check_module``: kernels, cokernels, Hom dimensions, radicals
+and submodule closure do not depend on them, and projectives are built
+from the basis words.
 
 A module assigns a vector space over F_p to each point and a matrix to
 each arrow; a hom is a point-indexed family of matrices intertwining the
 arrow actions, one ``Hom`` type over every presentation.  The module
 factory ``Presentation.module`` builds the module objects of the
 presentation's kind.  On top of the abelian-category plumbing (kernels,
-cokernels, block sums of modules) the engine provides radicals and tops,
-minimal projective covers, syzygies and resolutions, Ext dimensions from
-Hom complexes, vector-space duality, the Auslander-Bridger transpose,
+cokernels, block sums of modules) the engine provides radicals, minimal
+projective covers, syzygies and resolutions, Hom complexes (their
+1-cocycles are the extension classes that ``pushout`` realizes), Ext
+dimensions, vector-space duality, the Auslander-Bridger transpose,
 and bounded semi-Gorenstein-projective /
 Gorenstein-projective certificates, each computed once per algebra object
 and module content.
@@ -52,16 +53,13 @@ __all__ = [
     "Algebra",
     "Module",
     "Hom",
-    "HomBasis",
     "Certificate",
-    "hom_space",
     "kernel",
     "cokernel",
     "pushout",
     "check_module",
     "path_span_module",
     "radical",
-    "top",
     "projective_cover",
     "syzygy",
     "resolve",
@@ -409,53 +407,14 @@ def identity_hom(m: Module) -> Hom:
     return Hom(m, m, tuple(FpMatrix.identity(m.algebra.p, d) for d in m.dims), check=False)
 
 
-# -- the Hom functor as a linear system ------------------------------------
-
-
-def _vec(h: Hom) -> np.ndarray:
-    return np.concatenate([m.data.reshape(-1) for m in h.mats]) if h.mats else np.zeros(0, dtype=np.int64)
-
-
-class HomBasis:
-    """Canonical echelon basis of Hom(source, target).
-
-    Homs are flattened to row-major vectors blocked by vertex; the basis
-    subspace is a reduced echelon form, so coordinates of any member hom
-    are read off pivot positions.
-    """
-
-    def __init__(self, source: Module, target: Module, space: Subspace):
-        self.source = source
-        self.target = target
-        self.space = space
-        self._homs: list[Hom] | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def from_vector(self, vec: np.ndarray) -> Hom:
-        """The hom whose flattened entries are ``vec``, an int64 vector already reduced mod p."""
-        mats = []
-        off = 0
-        p = self.source.algebra.p
-        for v in self.source.algebra.quiver.vertices:
-            r, c = self.target.dim(v), self.source.dim(v)
-            mats.append(FpMatrix._of(p, vec[off : off + r * c].reshape(r, c)))
-            off += r * c
-        return Hom(self.source, self.target, tuple(mats), check=False)
-
-    def homs(self) -> list[Hom]:
-        if self._homs is None:
-            self._homs = [self.from_vector(row) for row in self.space.basis.data]
-        return self._homs
-
-    def coords(self, h: Hom) -> np.ndarray:
-        return self.space.coords(_vec(h))
+# -- Hom dimension from the naturality equations -----------------------------
 
 
 def _naturality_rows(m: Module, n: Module) -> np.ndarray:
-    """Constraint matrix whose kernel is Hom(m, n) in the blocked vec layout."""
+    """Constraint matrix whose kernel is Hom(m, n), homs flattened to
+    row-major vectors blocked by vertex."""
+    if m.algebra is not n.algebra:
+        raise AlgebraMismatch("hom between modules over different algebras")
     alg = m.algebra
     p = alg.p
     sizes = [n.dim(v) * m.dim(v) for v in alg.quiver.vertices]
@@ -479,16 +438,10 @@ def _naturality_rows(m: Module, n: Module) -> np.ndarray:
     return np.concatenate(blocks, axis=0) % p
 
 
-def hom_space(m: Module, n: Module) -> HomBasis:
-    """Basis of all homomorphisms m -> n, solved from the naturality equations."""
-    if m.algebra is not n.algebra:
-        raise AlgebraMismatch("hom between modules over different algebras")
-    rows = _naturality_rows(m, n)
-    return HomBasis(m, n, null_space(FpMatrix(m.algebra.p, rows)))
-
-
 def hom_dim(m: Module, n: Module) -> int:
-    return hom_space(m, n).dim
+    """dim Hom(m, n), solved from the naturality equations: a check of
+    Ext^0 that shares no code with the Hom complex."""
+    return null_space(FpMatrix(m.algebra.p, _naturality_rows(m, n))).dim
 
 
 # -- kernels, cokernels, sums ------------------------------------------------
@@ -562,9 +515,10 @@ def _block_sum(alg: Presentation, mods: list[Module]) -> Module:
 def pushout(f: Hom, g: Hom) -> CokernelPair:
     """The pushout of f: K -> X and g: K -> P, the cokernel of (f, -g): K -> X (+) P.
 
-    With g the inclusion of the kernel of a projective cover P -> Y, the
-    cokernel is the extension of Y by X that f represents; the projection
-    restricted to X is the inclusion X -> E.
+    With g the differential d_0: P_1 -> P_0 of a projective resolution of
+    Y and f a 1-cocycle P_1 -> X (f o d_1 = 0), the cokernel is the
+    extension of Y by X that f represents; the projection restricted to X
+    is the inclusion X -> E.
     """
     if f.source != g.source:
         raise ShapeMismatch("pushout of homs with different sources")
@@ -591,10 +545,6 @@ def radical_subspaces(m: Module) -> list[Subspace]:
 
 def radical(m: Module) -> KernelPair:
     return _submodule_from_subspaces(m, radical_subspaces(m))
-
-
-def top(m: Module) -> CokernelPair:
-    return cokernel(radical(m).inclusion)
 
 
 class FormalProjective:

@@ -2,9 +2,12 @@
 
 All three formats are plain text, diffable, and canonical: serializing a
 loaded canonical file reproduces it byte for byte.  Matrices are row-major
-decimal integers, reduced mod p on load (unreduced entries are accepted on
-input for human authoring).  Relation lines list arrow names in the
-composition order used throughout: the rightmost arrow acts first.
+decimal integers, reduced mod p on load as Python integers, so unreduced
+entries of any size are accepted on input for human authoring.  Relation
+lines list arrow names in the composition order used throughout: the
+rightmost arrow acts first.  A quiver has at most ``MAX_VERTICES``
+vertices; a larger count is rejected before the quiver is built, since
+each vertex costs memory before any arrow is read.
 
     smonkit-algebra v1          smonkit-module v1        smonkit-layered v1
     prime 2                     algebra A.alg            base A.alg
@@ -35,6 +38,7 @@ from .layered import LayeredModule, TensorContext
 from .quiver import Arrow, MonomialIdeal, Quiver, make_path
 
 __all__ = [
+    "MAX_VERTICES",
     "ALGEBRA_HEADER",
     "MODULE_HEADER",
     "LAYERED_HEADER",
@@ -51,6 +55,7 @@ __all__ = [
 ALGEBRA_HEADER = "smonkit-algebra v1"
 MODULE_HEADER = "smonkit-module v1"
 LAYERED_HEADER = "smonkit-layered v1"
+MAX_VERTICES = 10_000
 
 
 class ParseError(ValueError):
@@ -159,9 +164,12 @@ def parse_file(
 # -- blocks ----------------------------------------------------------------------
 
 
-def _read_bound_quiver(lines: _Lines, n: int, acyclic: bool, end: str | None, where: str) -> MonomialIdeal:
-    """The 'arrow' and 'relation' lines up to the line ``end`` (the end of
-    the file when None) as an ideal over their quiver of n vertices."""
+def _read_bound_quiver(lines: _Lines, acyclic: bool, end: str | None, where: str) -> MonomialIdeal:
+    """The 'vertices' line, then the 'arrow' and 'relation' lines up to the
+    line ``end`` (the end of the file when None), as an ideal over their quiver."""
+    no, n = lines.expect_int("vertices", "vertex count")
+    if n > MAX_VERTICES:
+        raise ParseError(no, f"vertex count {n} exceeds {MAX_VERTICES}")
     arrows: list[Arrow] = []
     relations: list[list[str]] = []
     while end is not None or not lines.done():
@@ -196,14 +204,14 @@ def _quiver_lines(algebra: Algebra) -> list[str]:
 def _read_matrix(lines: _Lines, rows: int, cols: int, p: int, what: str) -> FpMatrix:
     if rows == 0 or cols == 0:
         return FpMatrix.zeros(p, rows, cols)
-    data = np.zeros((rows, cols), dtype=np.int64)
-    for r in range(rows):
+    data = []
+    for _ in range(rows):
         no, line = lines.next()
         toks = line.split()
         if len(toks) != cols:
             raise ParseError(no, f"{what}: expected {cols} entries, found {len(toks)}")
-        data[r] = [_int(no, t, what) for t in toks]
-    return FpMatrix(p, data)
+        data.append([_int(no, t, what) % p for t in toks])
+    return FpMatrix(p, np.array(data, dtype=np.int64))
 
 
 def _matrix_lines(mat: FpMatrix) -> list[str]:
@@ -249,8 +257,7 @@ def _read_algebra(lines: _Lines, prime_override: int | None, acyclic: bool) -> A
         validate_prime(p)
     except ValueError as exc:
         raise ParseError(no, str(exc)) from None
-    _, n = lines.expect_int("vertices", "vertex count")
-    ideal = _read_bound_quiver(lines, n, acyclic, None, "algebra file")
+    ideal = _read_bound_quiver(lines, acyclic, None, "algebra file")
     try:
         return Algebra(ideal.quiver, ideal, p)
     except ValueError as exc:  # an ideal that is not admissible
@@ -292,8 +299,7 @@ def _read_layered(lines: _Lines, base: Algebra, context: TensorContext | None) -
     no, kw = lines.next()
     if kw != "quiver":
         raise ParseError(no, "expected 'quiver'")
-    _, qn = lines.expect_int("vertices", "vertex count")
-    ideal = _read_bound_quiver(lines, qn, True, "endquiver", "quiver block")
+    ideal = _read_bound_quiver(lines, True, "endquiver", "quiver block")
     if context is None:
         try:
             context = TensorContext(base, Algebra(ideal.quiver, ideal, base.p))
@@ -303,10 +309,10 @@ def _read_layered(lines: _Lines, base: Algebra, context: TensorContext | None) -
         raise ParseError(lines.last, "quiver block does not match the supplied context")
     relabel = ideal.quiver.vertex_relabeling
     branches: dict[int, Module] = {}
-    for _ in range(qn):
+    for _ in range(ideal.quiver.n):
         no, file_vertex = lines.expect_int("branch", "branch vertex")
         if file_vertex not in relabel:
-            raise ParseError(no, f"branch vertex {file_vertex} outside 1..{qn}")
+            raise ParseError(no, f"branch vertex {file_vertex} outside 1..{ideal.quiver.n}")
         i = relabel[file_vertex]
         if i in branches:
             raise ParseError(no, f"duplicate branch {file_vertex}")

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import bqa, formats, layered
 from .bqa import Algebra, Module
+from .exactla import FpMatrix, null_space
 from .layered import ClassPredicate, LayeredModule, TensorContext, tensor
 from .quiver import Arrow, MonomialIdeal, Quiver, make_path
 
@@ -269,8 +270,9 @@ def sample_factor_module(ctx: TensorContext, rng: np.random.Generator, budget: i
 
 def _planted_positive(ctx: TensorContext, rng: np.random.Generator, budget: int) -> LayeredModule:
     """x = m (x) P(i), or an extension of y = m2 (x) P(j) by x: the pushout
-    of a random f: K -> x along K -> P_0, where K is the kernel of y's
-    projective cover P_0 -> y.  Falls back to x when Hom(K, x) = 0."""
+    of a random 1-cocycle phi: P_1 -> x of Hom(y's resolution, x) along the
+    differential P_1 -> P_0.  The cocycles Z^1 = ker(Hom(P_1, x) ->
+    Hom(P_2, x)) are Hom(Omega y, x); falls back to x when they are 0."""
     m = sample_base_module(ctx, rng, budget)
     i = int(rng.integers(1, ctx.factor.quiver.n + 1))
     x = tensor(ctx, m, ctx.factor.projective(i))
@@ -278,12 +280,13 @@ def _planted_positive(ctx: TensorContext, rng: np.random.Generator, budget: int)
         m2 = sample_base_module(ctx, rng, budget)
         j = int(rng.integers(1, ctx.factor.quiver.n + 1))
         y = tensor(ctx, m2, ctx.factor.projective(j))
-        k = bqa.kernel(bqa.projective_cover(y).epi)
-        homs = bqa.hom_space(k.module, x)
-        if homs.dim:
-            coeffs = rng.integers(0, ctx.p, size=homs.dim)
-            f = homs.from_vector((coeffs @ homs.space.basis.data) % ctx.p)
-            return bqa.pushout(f, k.inclusion).module
+        res = bqa.resolve(y, 2)
+        _, deltas = bqa.hom_complex(res, x, 1)
+        cocycles = null_space(FpMatrix(ctx.p, deltas[1]))
+        if cocycles.dim:
+            coeffs = rng.integers(0, ctx.p, size=cocycles.dim)
+            phi = res.formal(1).hom_to(x, (coeffs @ cocycles.basis.data) % ctx.p)
+            return bqa.pushout(phi, res.diff(0)).module
     return x
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from smonkit import bqa
 from smonkit.exactla import FpMatrix, Subspace, solve
+from hom_oracle import HomBasis
 
 
 def lift_through_epi(epi, g):
@@ -35,4 +36,4 @@ def lift_through_epi(epi, g):
     sol = solve(FpMatrix(p, np.concatenate(blocks, axis=0)), np.concatenate(rhs))
     if sol is None:
         raise ValueError("map does not lift through the epimorphism")
-    return bqa.HomBasis(src, mid, Subspace.full(p, total)).from_vector(sol)
+    return HomBasis(src, mid, Subspace.full(p, total)).from_vector(sol)

@@ -12,6 +12,7 @@ import numpy as np
 
 from smonkit import bqa
 from smonkit.exactla import FpMatrix
+from hom_oracle import hom_space
 
 
 def right_multiplication(alg, a):
@@ -26,7 +27,7 @@ def right_multiplication(alg, a):
 def star_with_bases(m):
     """M* over the opposite algebra, with the solved Hom(M, P(v)) by vertex."""
     alg = m.algebra
-    bases = {v: bqa.hom_space(m, alg.projective(v)) for v in alg.quiver.vertices}
+    bases = {v: hom_space(m, alg.projective(v)) for v in alg.quiver.vertices}
     dims = tuple(bases[v].dim for v in alg.quiver.vertices)
     mats = {}
     for a in alg.quiver.arrows:

@@ -14,6 +14,7 @@ from smonkit import bqa, harness, layered
 from smonkit.exactla import FpMatrix, Subspace
 from smonkit.harness import SuiteConfig, run_suite
 from smonkit.layered import ClassPredicate, tensor
+from hom_oracle import hom_space
 
 ALL = ClassPredicate.all_modules()
 
@@ -143,7 +144,7 @@ def test_criterion_5_smon_perp(contexts):
     # generator of Hom(K, S(1) (x) P(3)), K the kernel of the cover
     y = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(2))
     k = bqa.kernel(bqa.projective_cover(y).epi)
-    (f,) = bqa.hom_space(k.module, tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3))).homs()
+    (f,) = hom_space(k.module, tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3))).homs()
     ext = bqa.pushout(f, k.inclusion).module
     fixtures_ok &= layered.check_separated_monic(ext, ALL).passed and perp(ext)
     elapsed = time.monotonic() - start

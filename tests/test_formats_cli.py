@@ -76,9 +76,11 @@ def test_layered_roundtrip(ctx_dual_chain3):
 
 def test_unreduced_entries_accepted(chain3):
     text = formats.serialize_module(chain3.projective(2), "q3.alg")
-    bumped = text.replace("matrix b\n1", "matrix b\n3")  # 3 = 1 mod 2
-    back, _, bad = formats.parse_module(bumped, chain3)
-    assert bad == [] and back == chain3.projective(2)
+    # both are 1 mod 2; the second does not fit in 64 bits
+    for entry in ("3", "99999999999999999999"):
+        bumped = text.replace("matrix b\n1", f"matrix b\n{entry}")
+        back, _, bad = formats.parse_module(bumped, chain3)
+        assert bad == [] and back == chain3.projective(2)
 
 
 def test_parse_errors_carry_line_numbers(chain3):
@@ -88,6 +90,15 @@ def test_parse_errors_carry_line_numbers(chain3):
     good = formats.serialize_module(chain3.simple(1), "q3.alg")
     with pytest.raises(ParseError):
         formats.parse_module(good.replace("dims 1 0 0", "dims 1 0"), chain3)
+    # a vertex count over the limit, in an algebra file and in a quiver block
+    big = f"vertices {formats.MAX_VERTICES + 1}"
+    for text, line in (
+        (f"smonkit-algebra v1\nprime 2\n{big}\n", 3),
+        (f"smonkit-layered v1\nbase q3.alg\nquiver\n{big}\nendquiver\n", 4),
+    ):
+        with pytest.raises(ParseError, match="exceeds") as err:
+            formats.parse_file(text, lambda _: chain3)
+        assert err.value.line == line
 
 
 def test_short_relation_in_quiver_block_reported_at_its_line(chain3):
@@ -130,6 +141,12 @@ def test_cli_check(workdir, chain3):
     mod = tmp / "S2.mod"
     mod.write_text(formats.serialize_module(chain3.simple(2), "q3.alg"))
     proc = run_cli(["check", str(files["q3"]), str(mod)], tmp)
+    assert proc.returncode == 0, proc.stderr
+    # an entry too large for 64 bits is reduced on load
+    big = tmp / "big.mod"
+    text = formats.serialize_module(chain3.projective(2), "q3.alg")
+    big.write_text(text.replace("matrix b\n1", "matrix b\n99999999999999999999"))
+    proc = run_cli(["check", str(big)], tmp)
     assert proc.returncode == 0, proc.stderr
     # relation-violating module file: exit 1 with the generator listed
     bad = tmp / "bad.mod"
@@ -377,6 +394,9 @@ MALFORMED = [
     ["check", "twoloops.alg"],
     ["ext", "x.lay", "xfree.lay", "--k", "1"],
     ["check", "latin1.mod"],
+    ["check", "bigdims.mod"],
+    ["check", "bigcount.alg"],
+    ["check", "bigcount.lay"],
     # a file of the wrong kind for the command
     ["smon", "S3.mod"],
     ["sepi", "S3.mod"],
@@ -411,6 +431,10 @@ def test_cli_malformed_input_is_a_usage_error(workdir, chain3, a2, args):
     )
     quiver = "smonkit-layered v1\nbase q3.alg\nquiver\nvertices{}\nendquiver\n"
     (tmp / "nocount.lay").write_text(quiver.format(""))
+    # one vertex over the limit: rejected before the quiver is built, and
+    # cheap to build should the limit stop being checked
+    (tmp / "bigcount.alg").write_text(f"smonkit-algebra v1\nprime 2\nvertices {formats.MAX_VERTICES + 1}\n")
+    (tmp / "bigcount.lay").write_text(quiver.format(f" {formats.MAX_VERTICES + 1}"))
     (tmp / "nobranch.lay").write_text(quiver.format(" 1") + "branch\n")
     # the same layered module over q3.alg and over its relation-free twin,
     # which has the same vertices and arrow names
@@ -421,6 +445,10 @@ def test_cli_malformed_input_is_a_usage_error(workdir, chain3, a2, args):
     (tmp / "x.lay").write_text(lay)
     (tmp / "xfree.lay").write_text(lay.replace("base q3.alg", "base q3free.alg"))
     (tmp / "latin1.mod").write_bytes(b"smonkit-module v1\n# caf\xe9\nalgebra q3.alg\n")
+    # dims whose matrix block would be far too large to allocate, followed by one short row
+    (tmp / "bigdims.mod").write_text(
+        "smonkit-module v1\nalgebra a2.alg\ndims 100000000 100000000\nmatrix a1\n1\n"
+    )
     (tmp / "negdims.mod").write_text(
         "smonkit-module v1\nalgebra q3.alg\ndims -1 1 1\nmatrix a\n1\nmatrix b\n1\n"
     )

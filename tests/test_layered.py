@@ -28,6 +28,7 @@ from smonkit.layered import (
     tensor,
     triple_conditions,
 )
+from hom_oracle import hom_space
 from lift_oracle import lift_through_epi
 from sepi_oracle import check_separated_epic as epic_oracle
 from star_oracle import evaluation_map, star_module
@@ -537,11 +538,12 @@ def test_triple_conditions_planted(ctx_chain3_a2):
 def _pushout_extension(x, y, rng):
     """The extension 0 -> x -> E -> y -> 0 pushed out from the kernel K of
     y's projective cover P_0 -> y along a random f in Hom(K, x), with its
-    two maps, whose naturality is checked here; None when Hom(K, x) = 0."""
+    two maps, whose naturality is checked here, and f; None when
+    Hom(K, x) = 0."""
     p, verts = x.algebra.p, x.algebra.quiver.vertices
     cover = bqa.projective_cover(y)
     k = bqa.kernel(cover.epi)
-    homs = bqa.hom_space(k.module, x)
+    homs = hom_space(k.module, x)
     if not homs.dim:
         return None
     f = homs.from_vector((rng.integers(0, p, size=homs.dim) @ homs.space.basis.data) % p)
@@ -550,7 +552,7 @@ def _pushout_extension(x, y, rng):
     # E -> y is (0, epi): x (+) P_0 -> y, which kills the image of K, read through the sections
     onto = [FpMatrix.hstack(p, y.dim(v), [FpMatrix.zeros(p, y.dim(v), x.dim(v)), cover.epi.mat(v)]) for v in verts]
     proj = bqa.Hom(e.module, y, tuple(o @ sec for o, sec in zip(onto, e.sections)))
-    return e.module, incl, proj
+    return e.module, incl, proj, f
 
 
 def test_extension_closure_of_smon(ctx_dual_chain3):
@@ -559,7 +561,7 @@ def test_extension_closure_of_smon(ctx_dual_chain3):
     x = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3))
     y = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(2))
     for _ in range(4):
-        e, _, _ = _pushout_extension(x, y, rng)
+        e, *_ = _pushout_extension(x, y, rng)
         assert bqa.check_module(e) == []
         assert check_separated_monic(e, ALL).passed
         # the exactness bookkeeping: branch cokernels form exact sequences,
@@ -572,12 +574,21 @@ def test_extension_closure_of_smon(ctx_dual_chain3):
             )
 
 
-@pytest.mark.parametrize("base, factor", [("kx2", "chain3"), ("chain3", "a2")])
-def test_planted_pushouts_are_smon_and_some_do_not_split(base, factor):
+@pytest.mark.parametrize(
+    "base, factor, p",
+    [("kx2", "chain3", 2), ("chain3", "a2", 2), ("kx2", "chain3", 3), ("chain3", "a2", 3)],
+    ids=["kx2-chain3", "chain3-a2", "kx2-chain3-p3", "chain3-a2-p3"],
+)
+def test_planted_pushouts_are_smon_and_some_do_not_split(base, factor, p):
     """Pairs drawn as the planted positives draw them, x = m (x) P(i) and
     y = m2 (x) P(j): every pushout extension is separated monic, and some
-    are not x (+) y, which shows as dim End(E) != dim End(x (+) y)."""
-    ctx = harness.standard_context(base, factor)
+    are not x (+) y, which shows as dim End(E) != dim End(x (+) y).
+
+    The planted positive's route gives the same modules: the 1-cocycles
+    Z^1 of Hom(y's table resolution, x) have the dimension of Hom(K, x),
+    and the pushout of phi = f o pi along d_0: P_1 -> P_0, with pi: P_1 ->
+    K read from the resolution, is the pushout of f along K -> P_0."""
+    ctx = harness.standard_context(base, factor, p)
     rng = np.random.default_rng(29)
     n = ctx.factor.quiver.n
     built = nonsplit = 0
@@ -585,10 +596,16 @@ def test_planted_pushouts_are_smon_and_some_do_not_split(base, factor):
     for _ in range(200):
         x = tensor(ctx, harness.sample_base_module(ctx, rng, 3), ctx.factor.projective(int(rng.integers(1, n + 1))))
         y = tensor(ctx, harness.sample_base_module(ctx, rng, 3), ctx.factor.projective(int(rng.integers(1, n + 1))))
+        res = bqa.resolve(y, 2)
+        k = bqa.kernel(bqa.projective_cover(y).epi)
+        _, deltas = bqa.hom_complex(res, x, 1)
+        assert null_space(FpMatrix(p, deltas[1])).dim == hom_space(k.module, x).dim
         ext = _pushout_extension(x, y, rng)
         if ext is None:
             continue
-        e = ext[0]
+        e, f = ext[0], ext[3]
+        pi = res.formal(1).lift(k.inclusion, res.diff(0))
+        assert bqa.pushout(f @ pi, res.diff(0)).module == e
         assert bqa.check_module(e) == [] and check_separated_monic(e, ALL).passed
         built += 1
         nonsplit += layered_hom_dim(e, e) != sum(layered_hom_dim(a, b) for a in (x, y) for b in (x, y))
@@ -673,7 +690,7 @@ def test_extension_is_short_exact(ctx_dual_chain3):
     ctx = ctx_dual_chain3
     subm = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(3))
     quom = tensor(ctx, ctx.base.simple(1), ctx.factor.projective(2))
-    e, incl, proj = _pushout_extension(subm, quom, np.random.default_rng(3))
+    e, incl, proj, _ = _pushout_extension(subm, quom, np.random.default_rng(3))
     assert incl.is_injective() and proj.is_surjective()
     assert (proj @ incl).is_zero()
     assert bqa.kernel(proj).module.total_dim == subm.total_dim
@@ -852,7 +869,7 @@ def _reference_phi_conditions(t, bound):
     from a chain map built for every degree and quotient coordinates."""
     reg = t.reduced.regular_module()
     p = t.reduced.p
-    src, tgt = bqa.hom_space(t.phi.source, reg), bqa.hom_space(t.phi.target, reg)
+    src, tgt = hom_space(t.phi.source, reg), hom_space(t.phi.target, reg)
     pulled = np.array([src.coords(g @ t.phi) for g in tgt.homs()], dtype=np.int64).reshape(tgt.dim, src.dim)
     phi_epi = src.dim == 0 or FpMatrix(p, pulled).rank() == src.dim
     res_my, res_x = bqa.resolve(t.phi.source, bound + 1), bqa.resolve(t.x_part, bound + 1)
