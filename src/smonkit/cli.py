@@ -213,30 +213,22 @@ def cmd_suite(args) -> int:
     if args.name == "nakayama":
         if len(args.context) != 1:
             raise CliError("the nakayama suite takes one algebra file")
-        algebra = _load_algebra(args.context[0], args)
-        cfg = harness.SuiteConfig(
-            algebra=algebra,
-            bound=args.bound,
-            samples=args.samples,
-            seed=args.seed,
-            only_instance=args.only_instance,
-            context_label=os.path.basename(args.context[0]),
-        )
+        over = {"algebra": _load_algebra(args.context[0], args)}
     else:
         if len(args.context) != 2:
             raise CliError(f"suite {args.name} takes a base and a factor algebra file")
         base = _load_algebra(args.context[0], args)
         factor = _load_algebra(args.context[1], args, acyclic=True)
-        ctx = TensorContext(base, factor)
-        cfg = harness.SuiteConfig(
-            context=ctx,
-            bound=args.bound,
-            samples=args.samples,
-            seed=args.seed,
-            budget=args.budget,
-            only_instance=args.only_instance,
-            context_label=os.path.basename(args.context[0]) + "/" + os.path.basename(args.context[1]),
-        )
+        over = {"context": TensorContext(base, factor)}
+    cfg = harness.SuiteConfig(
+        bound=args.bound,
+        samples=args.samples,
+        seed=args.seed,
+        budget=args.budget,
+        only_instance=args.only_instance,
+        context_label="/".join(os.path.basename(path) for path in args.context),
+        **over,
+    )
     report = harness.run_suite(args.name, cfg)
     if args.format == "records":
         sys.stdout.write(report.to_records())

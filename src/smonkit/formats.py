@@ -7,7 +7,10 @@ entries of any size are accepted on input for human authoring.  Relation
 lines list arrow names in the composition order used throughout: the
 rightmost arrow acts first.  A quiver has at most ``MAX_VERTICES``
 vertices; a larger count is rejected before the quiver is built, since
-each vertex costs memory before any arrow is read.
+each vertex costs memory before any arrow is read.  A module block (a
+module file or a layered branch) has total dimension at most ``MAX_DIM``,
+checked before any matrix is read, since the engine's matrices are dense.
+An algebra with more than ``quiver.MAX_PATHS`` nonzero paths is rejected.
 
     smonkit-algebra v1          smonkit-module v1        smonkit-layered v1
     prime 2                     algebra A.alg            base A.alg
@@ -39,6 +42,7 @@ from .quiver import Arrow, MonomialIdeal, Quiver, make_path
 
 __all__ = [
     "MAX_VERTICES",
+    "MAX_DIM",
     "ALGEBRA_HEADER",
     "MODULE_HEADER",
     "LAYERED_HEADER",
@@ -56,6 +60,7 @@ ALGEBRA_HEADER = "smonkit-algebra v1"
 MODULE_HEADER = "smonkit-module v1"
 LAYERED_HEADER = "smonkit-layered v1"
 MAX_VERTICES = 10_000
+MAX_DIM = 1_000  # total dimension of one module block
 
 
 class ParseError(ValueError):
@@ -228,6 +233,8 @@ def _read_module(lines: _Lines, algebra: Algebra, order_hint: str = "") -> Modul
     dims = tuple(_int(lines.last, t, "dimension") for t in toks)
     if min(dims, default=0) < 0:
         raise ParseError(lines.last, "dimensions must not be negative")
+    if sum(dims) > MAX_DIM:
+        raise ParseError(lines.last, f"total dimension {sum(dims)} exceeds {MAX_DIM}")
     mats: dict[str, FpMatrix] = {}
     for a in algebra.quiver.arrows:
         if lines.expect("matrix") != [a.name]:

@@ -352,7 +352,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassPredicate:
-    """A named membership test for base-algebra modules.
+    """A named membership test for modules over any algebra, layered ones
+    included: the branch-cokernel test of ``check_separated_monic`` over the
+    base, or a test of a layered module itself (smon-perp's PERP_OF).
 
     Kinds: ALL, PROJ, INJ, GPROJ (bounded GP certificate), SEMI_GP
     (bounded Ext-vanishing against the algebra), PERP_OF (bounded
@@ -455,10 +457,8 @@ def _separated_monic(x: LayeredModule, pred: ClassPredicate, accepts) -> CheckRe
         ]
         for v in ctx.base.quiver.vertices:
             ker = null_space(x.arrow_maps[a.name].mat(v))
-            parts = [Subspace.zero(ctx.p, x.branch(a.source).dim(v))]
-            for q in killers:
-                parts.append(column_space(x.factor_action(q, v)))
-            span = Subspace.sum_of(parts)
+            dim = x.branch(a.source).dim(v)
+            span = column_space(FpMatrix.hstack(ctx.p, dim, [x.factor_action(q, v) for q in killers]))
             if ker != span:
                 return CheckResult(
                     False,

@@ -27,9 +27,13 @@ __all__ = [
     "Quiver",
     "MonomialIdeal",
     "make_path",
+    "MAX_PATHS",
     "nonzero_paths",
     "opposite_bound_quiver",
 ]
+
+
+MAX_PATHS = 10_000  # nonzero paths that nonzero_paths lists before giving up
 
 
 class Cyclic(ValueError):
@@ -275,7 +279,9 @@ def nonzero_paths(quiver: Quiver, ideal: MonomialIdeal) -> list[Path]:
     arrows that it ran through before, the loop between the two can be
     pumped forever, and NotAdmissible names that path.  With w nonzero
     paths of length m, every nonzero path of length w+m repeats a window,
-    so otherwise the search ends by itself.
+    so otherwise the search ends by itself, though perhaps only after
+    exponentially many paths: past ``MAX_PATHS`` it stops with a ValueError
+    (not NotAdmissible, since the algebra may be finite).
     """
     span = max((g.length - 1 for g in ideal.generators), default=1)  # m; generators have length >= 2
     frontier = [quiver.trivial_path(v) for v in quiver.vertices]
@@ -295,6 +301,8 @@ def nonzero_paths(quiver: Quiver, ideal: MonomialIdeal) -> list[Path]:
                         f"arrow(s), so the loop between the two never dies"
                     )
                 nxt.append(q)
+                if len(found) + len(nxt) > MAX_PATHS:
+                    raise ValueError(f"more than {MAX_PATHS} nonzero paths")
         found.extend(nxt)
         frontier = nxt
     return sorted(found)

@@ -392,9 +392,12 @@ MALFORMED = [
     ["suite", "ce", "empty.alg", "a2.alg"],
     ["suite", "ce", "q3.alg", "empty.alg"],
     ["check", "twoloops.alg"],
+    ["check", "twoloops30.alg"],
     ["ext", "x.lay", "xfree.lay", "--k", "1"],
     ["check", "latin1.mod"],
     ["check", "bigdims.mod"],
+    ["gp", "bigzero.mod"],
+    ["check", "bigbranch.lay"],
     ["check", "bigcount.alg"],
     ["check", "bigcount.lay"],
     # a file of the wrong kind for the command
@@ -429,6 +432,10 @@ def test_cli_malformed_input_is_a_usage_error(workdir, chain3, a2, args):
     (tmp / "twoloops.alg").write_text(
         "smonkit-algebra v1\nprime 2\nvertices 1\narrow x 1 1\narrow y 1 1\nrelation x x\n"
     )
+    # the same with x^30 killed: about 2^30 nonzero paths before y's loop repeats a window
+    (tmp / "twoloops30.alg").write_text(
+        "smonkit-algebra v1\nprime 2\nvertices 1\narrow x 1 1\narrow y 1 1\nrelation" + " x" * 30 + "\n"
+    )
     quiver = "smonkit-layered v1\nbase q3.alg\nquiver\nvertices{}\nendquiver\n"
     (tmp / "nocount.lay").write_text(quiver.format(""))
     # one vertex over the limit: rejected before the quiver is built, and
@@ -448,6 +455,14 @@ def test_cli_malformed_input_is_a_usage_error(workdir, chain3, a2, args):
     # dims whose matrix block would be far too large to allocate, followed by one short row
     (tmp / "bigdims.mod").write_text(
         "smonkit-module v1\nalgebra a2.alg\ndims 100000000 100000000\nmatrix a1\n1\n"
+    )
+    # one dimension over the limit, all of it at a vertex whose matrix blocks are empty,
+    # and the same as a layered branch; cheap to run should the limit stop being checked
+    (tmp / "bigzero.mod").write_text(
+        f"smonkit-module v1\nalgebra a2.alg\ndims {formats.MAX_DIM + 1} 0\nmatrix a1\n"
+    )
+    (tmp / "bigbranch.lay").write_text(
+        quiver.format(" 1") + f"branch 1\ndims {formats.MAX_DIM + 1} 0 0\nmatrix a\nmatrix b\n"
     )
     (tmp / "negdims.mod").write_text(
         "smonkit-module v1\nalgebra q3.alg\ndims -1 1 1\nmatrix a\n1\nmatrix b\n1\n"

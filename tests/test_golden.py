@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from smonkit import exactla, harness
+from smonkit import exactla, harness, layered
+from conftest import _branch4, _kron2
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.txt"
 SUITES = ("ce", "adjunction", "smon-perp", "lz3", "pd-add", "triangular", "weakly-gorenstein")
@@ -22,9 +23,13 @@ CONTEXTS = (("kx2", "chain3"), ("chain3", "a2"))
 
 def _suite_reports(base, factor, p=2):
     ctx = harness.standard_context(base, factor, p=p)
+    yield from _context_reports(ctx, f"{base}/{factor}", 8)
+
+
+def _context_reports(ctx, label, samples):
     for name in SUITES:
         cfg = harness.SuiteConfig(
-            context=ctx, bound=4, samples=8, seed=13, context_label=f"{base}/{factor}"
+            context=ctx, bound=4, samples=samples, seed=13, context_label=label
         )
         yield harness.run_suite(name, cfg)
 
@@ -58,6 +63,10 @@ def _reports():
         context_label="chain3/chain3",
     )
     yield harness.run_suite("triangular", cfg)
+    # factors with a vertex of two incoming arrows, so that the m1 check runs
+    for name, factor in (("kron2", _kron2), ("branch4", _branch4)):
+        ctx = layered.TensorContext(harness.algebra_loop_nilpotent(2), factor(2))
+        yield from _context_reports(ctx, f"kx2/{name}", 24)
 
 
 def _text(reports) -> str:

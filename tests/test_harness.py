@@ -16,7 +16,7 @@ from smonkit.harness import (
     submodule_pair,
     uniserial,
 )
-from smonkit.quiver import MonomialIdeal, Quiver
+from smonkit.quiver import MonomialIdeal, Quiver, make_path
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,18 @@ def test_as_nakayama_shapes(dual_numbers, a2, chain3):
     wild = bqa.Algebra(kron, MonomialIdeal(kron, []), 2)
     with pytest.raises(NotNakayama):
         as_nakayama(wild)
+    # at most one arrow in and out of each vertex, but not connected: two
+    # isolated vertices, a loop and an isolated vertex, two disjoint 2-cycles
+    two_cycles = [("a", 1, 2), ("b", 2, 1), ("c", 3, 4), ("d", 4, 3)]
+    for n, arrows, words in (
+        (2, [], []),
+        (2, [("x", 1, 1)], [("x", "x")]),
+        (4, two_cycles, [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]),
+    ):
+        q = Quiver(n, [harness.Arrow(*a) for a in arrows])
+        algebra = bqa.Algebra(q, MonomialIdeal(q, [make_path(q, w) for w in words]), 2)
+        with pytest.raises(NotNakayama, match="not connected"):
+            as_nakayama(algebra)
 
 
 def test_big_nakayama_kupisch(big_nakayama):

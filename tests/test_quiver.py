@@ -8,6 +8,7 @@ from smonkit.bqa import Algebra
 from smonkit.quiver import (
     Arrow,
     Cyclic,
+    MAX_PATHS,
     MonomialIdeal,
     NotAdmissible,
     Path,
@@ -181,6 +182,10 @@ def test_admissibility_cap_on_cyclic():
     # avoiding x^6 of length w + 5 = 37 could be listed
     with pytest.raises(NotAdmissible, match=r"y\*y\*y\*y\*y\*y "):
         nonzero_paths(two, MonomialIdeal(two, [make_path(two, ("x",) * 6)]))
+    # with x^15 killed, y^15 comes only after about 2^15 paths: past MAX_PATHS
+    # the search gives up with a plain ValueError, not a verdict
+    with pytest.raises(ValueError, match=f"more than {MAX_PATHS} nonzero paths"):
+        nonzero_paths(two, MonomialIdeal(two, [make_path(two, ("x",) * 15)]))
 
 
 # With at most three arrows and generators of length at most three, windows
